@@ -25,17 +25,6 @@ SEED = 20260811
 PEAK_RATE_GBPS = 28.16
 
 
-@pytest.fixture(scope="module")
-def full_run(default_table, table_csv, tmp_path_factory):
-    """The desk-scale default scenario: 6060 s, fixed seed, default spec."""
-    out = tmp_path_factory.mktemp("acceptance")
-    spec = RunSpec(table_path=str(table_csv), seed=SEED, duration_s=6060.0,
-                   metrics_path=str(out / "metrics.csv"),
-                   events_path=str(out / "events.log"))
-    records = run_simulation(spec, default_table)
-    return spec, records
-
-
 def test_criterion_1_mdpc_single_error_correction(rng):
     total = 0
     for m in range(2, 17):
