@@ -6,12 +6,10 @@ from .control import (AdaptiveController, BerMessage, Candidate, ControlAction,
                       complexity_units, estimate_distance, mdpc_candidates,
                       optimize_for_distance, rs_candidates, select_config)
 from .gf import GF, get_field
-from .mdpc import (MdpcBlock, MdpcCodec, MdpcDecodeResult, mdpc_decode,
-                   mdpc_encode)
-from .modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Channel,
-                    Modulation, measure_ber, symbol_error_prob, transmit)
-from .rs import (ReedSolomonCodec, RsCodeword, RsDecodeResult, rs_decode,
-                 rs_encode)
+from .mdpc import MdpcCodec
+from .modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
+                    symbol_error_prob, transmit)
+from .rs import ReedSolomonCodec
 from .sim import (LinkSimulation, MetricsRecord, MobilityTrace, ResidualStats,
                   generate_trace, residual_error_experiment, run_simulation)
 from .tablegen import TableModel, generate_table
@@ -19,16 +17,14 @@ from .tablegen import TableModel, generate_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveController", "BerMessage", "BerTable", "Candidate", "Channel",
+    "AdaptiveController", "BerMessage", "BerTable", "Candidate",
     "ControlAction", "DEFAULT_DATA_RATES_GBPS", "EpsilonPolicy", "GF",
-    "LinkConfig", "LinkSimulation", "MODULATIONS",
-    "MdpcBlock", "MdpcCodec", "MdpcDecodeResult", "MetricsRecord",
-    "MobilityTrace", "Modulation", "OptimizerParams", "ReedSolomonCodec",
-    "ResidualStats", "RsCodeword", "RsDecodeResult", "RunSpec", "SpecError",
-    "TableModel", "complexity_units", "emit_spec", "estimate_distance",
-    "generate_table", "generate_trace", "get_field", "load_spec",
-    "mdpc_candidates", "mdpc_decode", "mdpc_encode", "measure_ber",
+    "LinkConfig", "LinkSimulation", "MODULATIONS", "MdpcCodec",
+    "MetricsRecord", "MobilityTrace", "Modulation", "OptimizerParams",
+    "ReedSolomonCodec", "ResidualStats", "RunSpec", "SpecError", "TableModel",
+    "complexity_units", "emit_spec", "estimate_distance", "generate_table",
+    "generate_trace", "get_field", "load_spec", "mdpc_candidates",
     "optimize_for_distance", "parse_spec", "residual_error_experiment",
-    "rs_candidates", "rs_decode", "rs_encode", "run_simulation",
-    "select_config", "symbol_error_prob", "transmit",
+    "rs_candidates", "run_simulation", "select_config", "symbol_error_prob",
+    "transmit",
 ]

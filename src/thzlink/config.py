@@ -8,6 +8,7 @@ the ``THZLINK_`` prefix (dots become double underscores, case-insensitive),
 e.g. ``THZLINK_SEED=9`` or ``THZLINK_EPSILON__16QAM=1e-6``.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -165,10 +166,14 @@ def _validate(spec: RunSpec) -> None:
     def bad(key, why):
         raise SpecError(f"invalid {key}: {why}")
 
-    if spec.duration_s <= 0:
-        bad("duration_s", "must be positive")
-    if spec.update_interval_s <= 0:
-        bad("update_interval_s", "must be positive")
+    def positive(key, value):
+        if not math.isfinite(value):
+            bad(key, "must be finite")
+        if value <= 0:
+            bad(key, "must be positive")
+
+    positive("duration_s", spec.duration_s)
+    positive("update_interval_s", spec.update_interval_s)
     if spec.buffer_size < 1:
         bad("buffer_size", "must be >= 1")
     if spec.t_rs < 1:
@@ -188,10 +193,8 @@ def _validate(spec: RunSpec) -> None:
     if spec.ber_estimator not in BER_ESTIMATORS:
         bad("ber_estimator", f"must be one of {', '.join(BER_ESTIMATORS)}")
     for mod in MODULATIONS:
-        if spec.epsilon[mod] <= 0:
-            bad(f"epsilon.{_mod_key(mod)}", "must be positive")
-        if spec.rate_gbps[mod] <= 0:
-            bad(f"rate_gbps.{_mod_key(mod)}", "must be positive")
+        positive(f"epsilon.{_mod_key(mod)}", spec.epsilon[mod])
+        positive(f"rate_gbps.{_mod_key(mod)}", spec.rate_gbps[mod])
 
 
 def parse_spec(text: str, source: str = "<config>") -> RunSpec:

@@ -321,8 +321,7 @@ class AdaptiveController:
         candidates = (mdpc_candidates(p_by_mod, self.params)
                       + rs_candidates(p_by_mod, self.params))
         config = select_config(candidates, self.rates)
-        units = (n_compares + 1 + len(MODULATIONS)
-                 + 3 * len(MODULATIONS) * len(SCHEMES))
+        units = complexity_units(n_compares + 1, len(MODULATIONS), len(SCHEMES))
         self.last_generation_units = units
         self.total_units += units
         self.generations += 1

@@ -7,62 +7,9 @@ n lines through it fail (the failed-dimension marker) and repeatedly flips
 all cells holding the maximum count while that maximum is at least 2.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_MAX_ITERATIONS = 10
-
-
-@dataclass(frozen=True, eq=False)
-class MdpcBlock:
-    """Coded hypercube of shape (m+1,) * n, dtype uint8."""
-
-    cells: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.cells.ndim
-
-    @property
-    def m(self) -> int:
-        return self.cells.shape[0] - 1
-
-    @property
-    def k_bits(self) -> int:
-        return self.m ** self.n
-
-    @property
-    def r_bits(self) -> int:
-        return (self.m + 1) ** self.n - self.m ** self.n
-
-    def data_bits(self) -> np.ndarray:
-        m = self.m
-        return self.cells[(slice(0, m),) * self.n].reshape(-1).copy()
-
-    def to_bits(self) -> np.ndarray:
-        return self.cells.reshape(-1).copy()
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray, m: int, n: int) -> "MdpcBlock":
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.size != (m + 1) ** n:
-            raise ValueError(f"expected {(m + 1) ** n} bits for m={m}, n={n}")
-        return cls(bits.reshape((m + 1,) * n))
-
-
-@dataclass(frozen=True, eq=False)
-class MdpcDecodeResult:
-    data: np.ndarray
-    iterations: int
-    flipped: int
-    ok: bool
-
-    @property
-    def status(self) -> str:
-        if not self.ok:
-            return "uncorrectable"
-        return "error-free" if self.flipped == 0 else "corrected"
 
 
 def parity_bits_for(m: int, n: int) -> int:
@@ -74,66 +21,17 @@ def correctable_bits_for(n: int) -> int:
     return 2 ** (n - 1) - 1
 
 
-def mdpc_encode(data_bits: np.ndarray, m: int, n: int) -> MdpcBlock:
-    """Fill the data sub-cube and derive every parity cell.
+def _fdm(cubes: np.ndarray) -> np.ndarray:
+    """Per-cell count of failing lines through that cell, for each cube.
 
-    Parity cells are written one axis at a time; the reduction over each new
-    axis already includes the previously written parities, which makes the
-    parity-on-parity corners consistent (every line ends up even).
+    Axis 0 indexes the cubes. The per-axis line parities are summed by
+    broadcasting, so no full-size accumulator is filled first.
     """
-    if m < 2 or n < 2:
-        raise ValueError("need m >= 2 and n >= 2")
-    data_bits = np.asarray(data_bits, dtype=np.uint8)
-    if data_bits.size != m ** n:
-        raise ValueError(f"expected {m ** n} data bits for m={m}, n={n}")
-    cube = np.zeros((m + 1,) * n, dtype=np.uint8)
-    cube[(slice(0, m),) * n] = data_bits.reshape((m,) * n)
-    for axis in range(n):
-        src = [slice(None)] * n
-        src[axis] = slice(0, m)
-        dst = [slice(None)] * n
-        dst[axis] = m
-        cube[tuple(dst)] = np.bitwise_xor.reduce(cube[tuple(src)], axis=axis)
-    return MdpcBlock(cube)
-
-
-def _fdm(cube: np.ndarray) -> np.ndarray:
-    """Per-cell count of failing lines through that cell."""
-    n = cube.ndim
-    fdm = np.zeros(cube.shape, dtype=np.int16)
-    for axis in range(n):
-        line_parity = np.bitwise_xor.reduce(cube, axis=axis)
-        fdm += np.expand_dims(line_parity, axis=axis)
+    fdm = 0
+    for axis in range(1, cubes.ndim):
+        line_parity = np.bitwise_xor.reduce(cubes, axis=axis).astype(np.int16)
+        fdm = fdm + np.expand_dims(line_parity, axis=axis)
     return fdm
-
-
-def mdpc_decode(block: MdpcBlock,
-                max_iterations: int = DEFAULT_MAX_ITERATIONS) -> MdpcDecodeResult:
-    """Iterative decode: flip all max-FDM cells while the max is >= 2.
-
-    Stops as soon as the maximum marker drops below 2 (a lone failing line
-    cannot localize an error) or the iteration cap is hit. The result is
-    error-free/corrected only when every line checks out at the end; the
-    returned data always reflects the final cube state.
-    """
-    cube = block.cells.copy()
-    iterations = 0
-    flipped = 0
-    while True:
-        fdm = _fdm(cube)
-        fmax = int(fdm.max())
-        if fmax < 2:
-            ok = fmax == 0
-            break
-        if iterations >= max_iterations:
-            ok = False
-            break
-        mask = fdm == fmax
-        cube ^= mask
-        flipped += int(mask.sum())
-        iterations += 1
-    data = MdpcBlock(cube).data_bits()
-    return MdpcDecodeResult(data, iterations, flipped, ok)
 
 
 class MdpcCodec:
@@ -145,17 +43,18 @@ class MdpcCodec:
         self.m = m
         self.n = n
         self.max_iterations = max_iterations
+        self.t = correctable_bits_for(n)
         self.k_bits = m ** n
         self.r_bits = parity_bits_for(m, n)
 
-    def encode(self, data_bits: np.ndarray) -> MdpcBlock:
-        return mdpc_encode(data_bits, self.m, self.n)
-
-    def decode(self, block: MdpcBlock) -> MdpcDecodeResult:
-        return mdpc_decode(block, self.max_iterations)
-
     def encode_batch(self, data_bits: np.ndarray) -> np.ndarray:
-        """Encode (B, m^n) data bits into (B, (m+1)^n) transmitted bits."""
+        """Encode (B, m^n) data bits into (B, (m+1)^n) transmitted bits.
+
+        Parity cells are written one axis at a time; the reduction over each
+        new axis already includes the previously written parities, which
+        makes the parity-on-parity corners consistent (every line ends up
+        even).
+        """
         data_bits = np.asarray(data_bits, dtype=np.uint8)
         batch = data_bits.shape[0]
         m, n = self.m, self.n
@@ -170,29 +69,20 @@ class MdpcCodec:
         return cubes.reshape(batch, -1)
 
     def decode_batch(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Decode (B, (m+1)^n) received bits.
+        """Decode (B, (m+1)^n) received bits, all rows together.
 
         Returns (data bits (B, m^n), iterations, flipped counts, ok flags).
-        The 2-D case runs fully vectorized; higher dimensions fall back to
-        the scalar decoder per row.
+        Each round recomputes the markers of the rows still live and flips,
+        in each, every cell holding that row's maximum, while the maximum is
+        at least 2 and the row is under the iteration cap. A row is ok only
+        when every line checks out; its data is the final cube state either
+        way.
         """
         bits = np.asarray(bits, dtype=np.uint8)
         batch = bits.shape[0]
         m, n = self.m, self.n
+        cells = tuple(range(1, n + 1))
         cubes = bits.reshape((batch,) + (m + 1,) * n).copy()
-        if n != 2:
-            data = np.empty((batch, self.k_bits), dtype=np.uint8)
-            iters = np.empty(batch, dtype=np.int64)
-            flips = np.empty(batch, dtype=np.int64)
-            ok = np.empty(batch, dtype=bool)
-            for i in range(batch):
-                res = mdpc_decode(MdpcBlock(cubes[i]), self.max_iterations)
-                data[i] = res.data
-                iters[i] = res.iterations
-                flips[i] = res.flipped
-                ok[i] = res.ok
-            return data, iters, flips, ok
-
         iters = np.zeros(batch, dtype=np.int64)
         flips = np.zeros(batch, dtype=np.int64)
         ok = np.zeros(batch, dtype=bool)
@@ -202,10 +92,8 @@ class MdpcCodec:
                 break
             idx = np.nonzero(active)[0]
             sub = cubes[idx]
-            col_fail = np.bitwise_xor.reduce(sub, axis=1).astype(np.int16)
-            row_fail = np.bitwise_xor.reduce(sub, axis=2).astype(np.int16)
-            fdm = row_fail[:, :, None] + col_fail[:, None, :]
-            fmax = fdm.max(axis=(1, 2))
+            fdm = _fdm(sub)
+            fmax = fdm.max(axis=cells)
             done = fmax < 2
             ok[idx[done]] = fmax[done] == 0
             active[idx[done]] = False
@@ -215,10 +103,9 @@ class MdpcCodec:
             if round_no >= self.max_iterations:
                 active[idx[live]] = False  # cap hit; ok stays False
                 break
-            mask = fdm[live] == fmax[live, None, None]
-            sub_live = sub[live] ^ mask.astype(np.uint8)
-            cubes[idx[live]] = sub_live
-            flips[idx[live]] += mask.sum(axis=(1, 2))
+            mask = fdm[live] == fmax[live].reshape((-1,) + (1,) * n)
+            cubes[idx[live]] = sub[live] ^ mask.astype(np.uint8)
+            flips[idx[live]] += mask.sum(axis=cells)
             iters[idx[live]] += 1
-        data = cubes[:, :m, :m].reshape(batch, -1)
+        data = cubes[(slice(None),) + (slice(0, m),) * n].reshape(batch, -1)
         return data, iters, flips, ok

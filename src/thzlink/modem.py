@@ -5,7 +5,6 @@ the table and the raw data rate. No waveform-level processing is modeled.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +51,8 @@ class BerTable:
         self.distances = np.asarray(distances, dtype=float)
         if self.distances.ndim != 1 or len(self.distances) == 0:
             raise ValueError("distances must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(self.distances)):
+            raise ValueError("distances must be finite")
         if np.any(np.diff(self.distances) <= 0):
             raise ValueError("distances must be strictly ascending")
         self._values = {}
@@ -61,6 +62,8 @@ class BerTable:
             col = np.asarray(values[mod], dtype=float)
             if col.shape != self.distances.shape:
                 raise ValueError(f"BER column for {mod.label} has wrong length")
+            if not np.all(np.isfinite(col)):
+                raise ValueError(f"BER values for {mod.label} must be finite")
             if np.any((col < 0) | (col > 0.5)):
                 raise ValueError(f"BER values for {mod.label} outside [0, 0.5]")
             if np.any(np.diff(col) < 0):
@@ -109,6 +112,9 @@ class BerTable:
                 if len(parts) != 3:
                     raise ValueError(f"{path}:{line_no}: expected 3 columns")
                 d, mod, ber = float(parts[0]), Modulation.from_label(parts[1]), float(parts[2])
+                if d in rows[mod]:
+                    raise ValueError(
+                        f"{path}:{line_no}: duplicate row for {d:g} m, {mod.label}")
                 rows[mod][d] = ber
         distances = sorted(rows[MODULATIONS[0]])
         for mod in MODULATIONS:
@@ -159,29 +165,3 @@ def transmit(bits: np.ndarray, p_e: float, rng: np.random.Generator) -> np.ndarr
     if p_e >= 1.0:
         return bits ^ 1
     return bits ^ sample_flip_mask(bits.shape, p_e, rng)
-
-
-def measure_ber(sent: np.ndarray, received: np.ndarray) -> float:
-    """Fraction of differing bits between two equal-length bit sequences."""
-    sent = np.asarray(sent)
-    received = np.asarray(received)
-    if sent.shape != received.shape:
-        raise ValueError("sent/received length mismatch")
-    if sent.size == 0:
-        raise ValueError("cannot measure BER of empty sequences")
-    return float(np.count_nonzero(sent != received) / sent.size)
-
-
-@dataclass
-class Channel:
-    """A distance-parameterized BSC owned by one simulation context."""
-
-    table: BerTable
-    rng: np.random.Generator
-    distance_m: float
-
-    def error_prob(self, mod: Modulation) -> float:
-        return self.table.lookup(self.distance_m, mod)
-
-    def send(self, bits: np.ndarray, mod: Modulation) -> np.ndarray:
-        return transmit(bits, self.error_prob(mod), self.rng)

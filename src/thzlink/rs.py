@@ -3,12 +3,13 @@
 A codeword carries K data bits and R redundant bits as (K+R)/s symbols.
 The code is shortened from the full length 2^s - 1 by Z zero-pad symbols
 that sit in front of the data symbols; they are never transmitted but are
-implied (as zeros) during decoding. Decoding runs the staged pipeline:
-syndromes, error-locator polynomial (Berlekamp-Massey), error locations
+implied (as zeros) during decoding. Decoding works on a batch of words:
+syndromes of every word, then, for the words with nonzero syndromes
+together, the error-locator polynomial (Berlekamp-Massey), error locations
 (Chien search), error values (Forney), correction and re-verification.
+Single-error-correcting codes (r == 2) skip the staged pipeline for a closed
+form.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,54 +57,6 @@ def generator_poly(gf: GF, r_symbols: int) -> list:
     return g
 
 
-@dataclass(frozen=True, eq=False)
-class RsCodeword:
-    """Transmitted symbols (data first, then parity) plus code geometry."""
-
-    symbols: np.ndarray
-    s: int
-    k_symbols: int
-    r_symbols: int
-    zero_pad: int
-
-    @property
-    def k_bits(self) -> int:
-        return self.k_symbols * self.s
-
-    @property
-    def r_bits(self) -> int:
-        return self.r_symbols * self.s
-
-    def to_bits(self) -> np.ndarray:
-        return symbols_to_bits(self.symbols, self.s)
-
-    def with_symbols(self, symbols: np.ndarray) -> "RsCodeword":
-        return RsCodeword(np.asarray(symbols, dtype=np.int64), self.s,
-                          self.k_symbols, self.r_symbols, self.zero_pad)
-
-    @classmethod
-    def from_bits(cls, bits: np.ndarray, s: int, k_symbols: int,
-                  r_symbols: int) -> "RsCodeword":
-        symbols = bits_to_symbols(np.asarray(bits), s)
-        if symbols.shape[-1] != k_symbols + r_symbols:
-            raise ValueError("bit length does not match the configured code")
-        zero_pad = (1 << s) - 1 - (k_symbols + r_symbols)
-        return cls(symbols, s, k_symbols, r_symbols, zero_pad)
-
-
-@dataclass(frozen=True, eq=False)
-class RsDecodeResult:
-    data: np.ndarray
-    corrected: int
-    ok: bool
-
-    @property
-    def status(self) -> str:
-        if not self.ok:
-            return "uncorrectable"
-        return "error-free" if self.corrected == 0 else "corrected"
-
-
 class ReedSolomonCodec:
     """Encoder/decoder for a fixed symbol size and parity budget.
 
@@ -136,16 +89,6 @@ class ReedSolomonCodec:
                 f"{k_symbols}+{self.r_symbols} symbols exceed the maximum "
                 f"codeword length {self.gf.order - 1} for s={self.s}")
         return k_symbols
-
-    def encode(self, data_bits: np.ndarray) -> RsCodeword:
-        """Systematic encode: the transmitted prefix is the data itself."""
-        data_bits = np.asarray(data_bits)
-        k_symbols = self._check_k(data_bits.shape[-1])
-        data_syms = bits_to_symbols(data_bits, self.s)
-        parity = self._parity(data_syms[None, :])[0]
-        symbols = np.concatenate([data_syms, parity])
-        zero_pad = self.gf.order - 1 - (k_symbols + self.r_symbols)
-        return RsCodeword(symbols, self.s, k_symbols, self.r_symbols, zero_pad)
 
     def encode_batch(self, data_bits: np.ndarray) -> np.ndarray:
         """Encode a (B, K) bit block; returns (B, K/s + r) transmitted symbols."""
@@ -204,6 +147,10 @@ class ReedSolomonCodec:
         if mat is None:
             qm1 = self.gf.order - 1
             length = k_symbols + self.r_symbols
+            if not self.r_symbols < length <= qm1:
+                raise ValueError(
+                    f"received word of {length} symbols does not fit a code "
+                    f"with {self.r_symbols} parity symbols over s={self.s}")
             powers = np.arange(length - 1, -1, -1, dtype=np.int64)  # x-power per position
             i = np.arange(1, self.r_symbols + 1, dtype=np.int64)
             mat = (i[:, None] * powers[None, :]) % qm1
@@ -219,130 +166,15 @@ class ReedSolomonCodec:
         terms = np.where(symbols[:, None, :] == 0, 0, terms)
         return np.bitwise_xor.reduce(terms, axis=-1)
 
-    def decode(self, word: RsCodeword) -> RsDecodeResult:
-        """Decode one received codeword, correcting up to r/2 symbol errors."""
-        received = np.asarray(word.symbols, dtype=np.int64)
-        if received.shape[-1] != word.k_symbols + self.r_symbols:
-            raise ValueError("received word length does not match the code")
-        syndromes = self.syndromes_batch(received[None, :])[0]
-        corrected, n_err, ok = self._correct_from_syndromes(received.copy(), syndromes)
-        data_bits = symbols_to_bits(corrected[: word.k_symbols], self.s)
-        return RsDecodeResult(data_bits, n_err, ok)
-
-    def _correct_from_syndromes(self, word: np.ndarray,
-                                syndromes: np.ndarray) -> tuple[np.ndarray, int, bool]:
-        syn = [int(v) for v in syndromes]
-        if not any(syn):
-            return word, 0, True
-
-        lam = self._berlekamp_massey(syn)
-        n_errors = len(lam) - 1
-        if n_errors > self.t:
-            return word, 0, False
-
-        positions = self._chien_search(lam)
-        if len(positions) != n_errors:
-            return word, 0, False
-        length = word.shape[-1]
-        if any(p >= length for p in positions):
-            # An error in the zero-pad region is impossible: pads are not sent.
-            return word, 0, False
-
-        values = self._forney(syn, lam, positions)
-        if any(v == 0 for v in values):
-            return word, 0, False
-        for pos, val in zip(positions, values):
-            word[length - 1 - pos] ^= val
-
-        check = self.syndromes_batch(word[None, :])[0]
-        if np.any(check != 0):
-            return word, 0, False
-        return word, n_errors, True
-
-    def _berlekamp_massey(self, syn: list) -> list:
-        """Error-locator polynomial, ascending coefficients, lam[0] == 1."""
-        gf = self.gf
-        lam = [1]
-        prev = [1]
-        l = 0
-        m = 1
-        b = 1
-        for n in range(len(syn)):
-            d = syn[n]
-            for i in range(1, l + 1):
-                d ^= gf.mul(lam[i], syn[n - i])
-            if d == 0:
-                m += 1
-                continue
-            coef = gf.div(d, b)
-            shifted = [0] * m + [gf.mul(coef, c) for c in prev]
-            if 2 * l <= n:
-                old = lam[:]
-                lam = [a ^ b2 for a, b2 in
-                       zip(lam + [0] * (len(shifted) - len(lam)),
-                           shifted + [0] * (len(lam) - len(shifted)))]
-                l = n + 1 - l
-                prev = old
-                b = d
-                m = 1
-            else:
-                lam = [a ^ b2 for a, b2 in
-                       zip(lam + [0] * (len(shifted) - len(lam)),
-                           shifted + [0] * (len(lam) - len(shifted)))]
-                m += 1
-        while len(lam) > 1 and lam[-1] == 0:
-            lam.pop()
-        return lam
-
-    def _chien_search(self, lam: list) -> list:
-        """x-powers i where lam(alpha^-i) == 0, i.e. the error positions."""
-        gf = self.gf
-        positions = []
-        for i in range(gf.order - 1):
-            acc = 0
-            x = gf.pow_alpha(-i)
-            for k in range(len(lam) - 1, -1, -1):
-                acc = gf.mul(acc, x) ^ lam[k]
-            if acc == 0:
-                positions.append(i)
-        return positions
-
-    def _forney(self, syn: list, lam: list, positions: list) -> list:
-        gf = self.gf
-        # omega(x) = S(x) * lam(x) mod x^r, all ascending.
-        omega = [0] * self.r_symbols
-        for i, sv in enumerate(syn):
-            if sv == 0:
-                continue
-            for j, lv in enumerate(lam):
-                if i + j < self.r_symbols and lv != 0:
-                    omega[i + j] ^= gf.mul(sv, lv)
-        # Formal derivative keeps odd-power terms only (characteristic 2).
-        deriv = [lam[k] if k % 2 == 1 else 0 for k in range(1, len(lam))]
-        values = []
-        for pos in positions:
-            x_inv = gf.pow_alpha(-pos)
-            num = self._eval_ascending(omega, x_inv)
-            den = self._eval_ascending(deriv, x_inv)
-            if den == 0:
-                values.append(0)
-            else:
-                values.append(gf.div(num, den))
-        return values
-
-    def _eval_ascending(self, poly: list, x: int) -> int:
-        acc = 0
-        for c in reversed(poly):
-            acc = self.gf.mul(acc, x) ^ c
-        return acc
-
     def decode_symbols_batch(self, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode a (B, k+r) symbol block.
+        """Decode a (B, k+r) symbol block, all dirty rows together.
 
         Returns (corrected symbols, per-row corrected count, per-row ok flag).
-        Rows with zero syndromes short-circuit; single-error-correcting codes
-        (r == 2) use a closed-form vectorized path, everything else falls back
-        to the staged scalar decoder per row.
+        Rows with zero syndromes are clean. Single-error-correcting codes
+        (r == 2) solve the dirty rows in closed form; every other r runs the
+        staged pipeline over them. A row that fails keeps its received
+        symbols, except after a failed re-verification, where it keeps the
+        rejected correction.
         """
         symbols = np.asarray(symbols, dtype=np.int64)
         batch = symbols.shape[0]
@@ -357,12 +189,96 @@ class ReedSolomonCodec:
         if self.r_symbols == 2:
             self._decode_single_error_rows(out, syn, idx, corrected, ok)
         else:
-            for row in idx:
-                word, n_err, row_ok = self._correct_from_syndromes(out[row], syn[row])
-                out[row] = word
-                corrected[row] = n_err
-                ok[row] = row_ok
+            self._decode_rows(out, syn, idx, corrected, ok)
         return out, corrected, ok
+
+    def _decode_rows(self, out: np.ndarray, syn: np.ndarray, idx: np.ndarray,
+                     corrected: np.ndarray, ok: np.ndarray) -> None:
+        """Berlekamp-Massey, Chien, Forney and re-verification of rows `idx`.
+
+        A row fails when its locator degree exceeds t, when the locator has
+        fewer roots among the L sent positions than its degree (a root in
+        the zero-pad region counts as missing), when an error value comes
+        out zero, or when the corrected word still has nonzero syndromes.
+        """
+        gf = self.gf
+        qm1 = gf.order - 1
+        t = self.t
+        length = out.shape[-1]
+        ok[idx] = False
+        syn = syn[idx]
+        lam = self._berlekamp_massey(syn)
+        degree = np.max(np.where(lam != 0, np.arange(lam.shape[1]), 0), axis=1)
+        fits = degree <= t
+        idx, syn, lam, degree = idx[fits], syn[fits], lam[fits, : t + 1], degree[fits]
+
+        # Chien search: lam(alpha^-p) by Horner at every sent x-power p.
+        x_inv = gf.exp[-np.arange(length) % qm1]
+        acc = np.broadcast_to(lam[:, t:], (lam.shape[0], length))
+        for k in range(t - 1, -1, -1):
+            acc = gf.mul_vec(acc, x_inv) ^ lam[:, k:k + 1]
+        roots = acc == 0
+        found = np.count_nonzero(roots, axis=1) == degree
+        idx, syn, lam, degree, roots = (idx[found], syn[found], lam[found],
+                                        degree[found], roots[found])
+
+        # Forney: e = omega(X^-1) / lam'(X^-1), omega = S(x) lam(x) mod x^r.
+        r = self.r_symbols
+        omega = np.zeros((lam.shape[0], r), dtype=np.int64)
+        for k in range(t + 1):
+            omega[:, k:] ^= gf.mul_vec(syn[:, : r - k], lam[:, k:k + 1])
+        deriv = np.where(np.arange(1, t + 1) % 2 == 1, lam[:, 1:], 0)
+        row, pos = np.nonzero(roots)
+        num = self._eval_rows(omega[row], x_inv[pos])
+        den = self._eval_rows(deriv[row], x_inv[pos])
+        value = gf.mul_vec(num, gf.exp[qm1 - gf.log[den]])
+        value[den == 0] = 0
+        bad = np.zeros(idx.size, dtype=bool)
+        bad[row[value == 0]] = True
+        keep = ~bad[row]
+        out[idx[row[keep]], length - 1 - pos[keep]] ^= value[keep]
+        idx, degree = idx[~bad], degree[~bad]
+        if idx.size == 0:
+            return
+        clean = ~np.any(self.syndromes_batch(out[idx]) != 0, axis=1)
+        corrected[idx[clean]] = degree[clean]
+        ok[idx[clean]] = True
+
+    def _eval_rows(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row i of ascending `coeffs` evaluated at x[i], by Horner."""
+        acc = np.zeros(x.shape, dtype=np.int64)
+        for k in range(coeffs.shape[1] - 1, -1, -1):
+            acc = self.gf.mul_vec(acc, x) ^ coeffs[:, k]
+        return acc
+
+    def _berlekamp_massey(self, syn: np.ndarray) -> np.ndarray:
+        """Error-locator polynomial of each row of syndromes, run in lockstep.
+
+        Returns ascending coefficients, (rows, r + 1), with lam[:, 0] == 1.
+        `shifted` carries x^m B(x): the locator saved at the last length
+        change, times x once per step since.
+        """
+        gf = self.gf
+        qm1 = gf.order - 1
+        rows, r = syn.shape
+        lam = np.zeros((rows, r + 1), dtype=np.int64)
+        lam[:, 0] = 1
+        shifted = np.zeros_like(lam)
+        shifted[:, 1] = 1
+        reg_len = np.zeros(rows, dtype=np.int64)
+        b = np.ones(rows, dtype=np.int64)
+        for n in range(r):
+            d = np.bitwise_xor.reduce(gf.mul_vec(lam[:, : n + 1], syn[:, n::-1]),
+                                      axis=1)
+            coef = gf.mul_vec(d, gf.exp[qm1 - gf.log[b]])
+            grow = (d != 0) & (2 * reg_len <= n)
+            saved = np.where(grow[:, None], lam, shifted)
+            lam = lam ^ gf.mul_vec(coef[:, None], shifted)
+            reg_len = np.where(grow, n + 1 - reg_len, reg_len)
+            b = np.where(grow, d, b)
+            shifted = np.zeros_like(saved)
+            shifted[:, 1:] = saved[:, :-1]
+        return lam
 
     def _decode_single_error_rows(self, out: np.ndarray, syn: np.ndarray,
                                   idx: np.ndarray, corrected: np.ndarray,
@@ -383,12 +299,3 @@ class ReedSolomonCodec:
         corrected[good] = 1
         ok[idx[~in_range]] = False
 
-
-def rs_encode(data_bits: np.ndarray, s: int, r_symbols: int) -> RsCodeword:
-    """Encode K data bits into a shortened systematic RS codeword."""
-    return ReedSolomonCodec(s, r_symbols).encode(data_bits)
-
-
-def rs_decode(word: RsCodeword) -> RsDecodeResult:
-    """Decode a received codeword; see ReedSolomonCodec.decode."""
-    return ReedSolomonCodec(word.s, word.r_symbols).decode(word)

@@ -179,6 +179,32 @@ class _DwellAccumulator:
         )
 
 
+def _build_codec(config: LinkConfig, mdpc_max_iterations: int):
+    """The codec that carries `config`'s generations."""
+    if config.scheme == SCHEME_RS:
+        return ReedSolomonCodec(config.s, config.r_bits // config.s)
+    return MdpcCodec(config.m, config.n, max_iterations=mdpc_max_iterations)
+
+
+def _deliver(codec, data: np.ndarray, channel) -> tuple:
+    """Encode a (B, K) data block, pass its coded bits through `channel`, decode.
+
+    Returns (sent units, received units, decoded data bits, ok flags,
+    changed flags). Units are what the correction budget counts: symbols
+    for RS, bits for MDPC. A row is changed when the decoder corrected it.
+    """
+    sent = codec.encode_batch(data)
+    if isinstance(codec, ReedSolomonCodec):
+        s = codec.s
+        received = bits_to_symbols(channel(symbols_to_bits(sent, s)), s)
+        out, counts, ok = codec.decode_symbols_batch(received)
+        decoded = symbols_to_bits(out[:, : data.shape[-1] // s], s)
+        return sent, received, decoded, ok, counts > 0
+    received = channel(sent)
+    decoded, _, flips, ok = codec.decode_batch(received)
+    return sent, received, decoded, ok, flips > 0
+
+
 class LinkSimulation:
     """One deterministic run: trace, data plane, controller, metrics."""
 
@@ -209,11 +235,7 @@ class LinkSimulation:
                config.m, config.n)
         codec = self._codecs.get(key)
         if codec is None:
-            if config.scheme == SCHEME_RS:
-                codec = ReedSolomonCodec(config.s, config.r_bits // config.s)
-            else:
-                codec = MdpcCodec(config.m, config.n,
-                                  max_iterations=self.spec.mdpc_max_iterations)
+            codec = _build_codec(config, self.spec.mdpc_max_iterations)
             self._codecs[key] = codec
         return codec
 
@@ -230,19 +252,8 @@ class LinkSimulation:
             return IntervalStats(ber_m, batch, batch, 0, 0, 0, batch * k)
 
         data = self.rng_data.integers(0, 2, size=(batch, k), dtype=np.uint8)
-        codec = self._codec_for(config)
-        if config.scheme == SCHEME_RS:
-            tx_symbols = codec.encode_batch(data)
-            rx_bits = symbols_to_bits(tx_symbols, config.s) ^ flip_mask
-            rx_symbols = bits_to_symbols(rx_bits, config.s)
-            out_symbols, corrected_counts, ok = codec.decode_symbols_batch(rx_symbols)
-            decoded = symbols_to_bits(out_symbols[:, : k // config.s], config.s)
-            changed = corrected_counts > 0
-        else:
-            rx_bits = codec.encode_batch(data) ^ flip_mask
-            decoded, _, flips, ok = codec.decode_batch(rx_bits)
-            changed = flips > 0
-
+        _, _, decoded, ok, changed = _deliver(self._codec_for(config), data,
+                                             lambda bits: bits ^ flip_mask)
         error_free = int(np.count_nonzero(ok & ~changed))
         corrected = int(np.count_nonzero(ok & changed))
         failed = int(np.count_nonzero(~ok))
@@ -360,16 +371,17 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     rng_data = np.random.default_rng([seed, 1])
     rng_channel = np.random.default_rng([seed, 2])
     k = config.k_bits
+    codec = _build_codec(config, mdpc_max_iterations)
+    t_budget = codec.t
     if config.scheme == SCHEME_RS:
-        codec = ReedSolomonCodec(config.s, config.r_bits // config.s)
-        t_budget = codec.t
         n_units = (k + config.r_bits) // config.s
         unit_p = symbol_error_prob(p_e, config.s)
     else:
-        codec = MdpcCodec(config.m, config.n, max_iterations=mdpc_max_iterations)
-        t_budget = 2 ** (config.n - 1) - 1
-        n_units = (config.m + 1) ** config.n
+        n_units = k + config.r_bits
         unit_p = p_e
+
+    def channel(bits):
+        return transmit(bits, p_e, rng_channel)
 
     within_failures = 0
     exceed = 0
@@ -378,19 +390,8 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     while done < generations:
         batch = min(batch_size, generations - done)
         data = rng_data.integers(0, 2, size=(batch, k), dtype=np.uint8)
-        if config.scheme == SCHEME_RS:
-            tx_symbols = codec.encode_batch(data)
-            tx_bits = symbols_to_bits(tx_symbols, config.s)
-            rx_bits = transmit(tx_bits, p_e, rng_channel)
-            rx_symbols = bits_to_symbols(rx_bits, config.s)
-            injected = np.count_nonzero(rx_symbols != tx_symbols, axis=1)
-            out_symbols, _, ok = codec.decode_symbols_batch(rx_symbols)
-            decoded = symbols_to_bits(out_symbols[:, : k // config.s], config.s)
-        else:
-            tx_bits = codec.encode_batch(data)
-            rx_bits = transmit(tx_bits, p_e, rng_channel)
-            injected = np.count_nonzero(rx_bits != tx_bits, axis=1)
-            decoded, _, _, ok = codec.decode_batch(rx_bits)
+        sent, received, decoded, _, _ = _deliver(codec, data, channel)
+        injected = np.count_nonzero(received != sent, axis=1)
         wrong = np.any(decoded != data, axis=1)
         within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
         exceed += int(np.count_nonzero(injected > t_budget))

@@ -14,10 +14,10 @@ from thzlink.config import RunSpec
 from thzlink.control import (AdaptiveController, BerMessage, OptimizerParams,
                              complexity_units, mdpc_candidates, rs_candidates,
                              select_config)
-from thzlink.mdpc import MdpcBlock, mdpc_decode, mdpc_encode
+from thzlink.mdpc import MdpcCodec
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, Modulation,
                            symbol_error_prob)
-from thzlink.rs import ReedSolomonCodec
+from thzlink.rs import ReedSolomonCodec, symbols_to_bits
 from thzlink.sim import (LinkSimulation, MobilityTrace, TracePhase,
                          residual_error_experiment, run_simulation)
 
@@ -28,56 +28,60 @@ PEAK_RATE_GBPS = 28.16
 def test_criterion_1_mdpc_single_error_correction(rng):
     total = 0
     for m in range(2, 17):
+        codec = MdpcCodec(m, 2)
         data = rng.integers(0, 2, m * m).astype(np.uint8)
-        block = mdpc_encode(data, m, 2)
-        for pos in range((m + 1) ** 2):
-            bad = block.to_bits()
-            bad[pos] ^= 1
-            res = mdpc_decode(MdpcBlock.from_bits(bad, m, 2))
-            assert res.status == "corrected", (m, pos)
-            assert np.array_equal(res.data, data), (m, pos)
-            total += 1
+        block = codec.encode_batch(data[None, :])[0]
+        n_bits = (m + 1) ** 2
+        bad = np.tile(block, (n_bits, 1))
+        bad[np.arange(n_bits), np.arange(n_bits)] ^= 1  # row pos flips bit pos
+        decoded, _, flipped, ok = codec.decode_batch(bad)
+        corrected = ok & (flipped > 0)
+        assert corrected.all(), (m, np.nonzero(~corrected)[0])
+        wrong = np.any(decoded != data, axis=1)
+        assert not wrong.any(), (m, np.nonzero(wrong)[0])
+        total += n_bits
     print(f"\nACCEPTANCE 1: PASS - MDPC n=2 single-error correction, "
           f"{total} exhaustive cases over m in [2,16], 0 failures")
+
+
+def error_patterns(word, patterns):
+    """One received word per pattern; a pattern is ((pos, val), ...)."""
+    rx = np.tile(word, (len(patterns), 1))
+    for row, pattern in zip(rx, patterns):
+        for pos, val in pattern:
+            row[pos] ^= val
+    return rx
 
 
 def test_criterion_2_rs_correction_guarantee(rng):
     # t=1 code over GF(256) at the boot geometry: every single-symbol error.
     codec = ReedSolomonCodec(8, 2)
     data = rng.integers(0, 2, 224).astype(np.uint8)
-    word = codec.encode(data)
-    n_single = 0
-    for pos in range(30):
-        for val in range(1, 256):
-            bad = word.symbols.copy()
-            bad[pos] ^= val
-            res = codec.decode(word.with_symbols(bad))
-            assert res.ok and res.corrected == 1, (pos, val)
-            assert np.array_equal(res.data, data), (pos, val)
-            n_single += 1
+    word = codec.encode_batch(data[None, :])[0]
+    singles = [((pos, val),) for pos in range(30) for val in range(1, 256)]
+    out, corrected, ok = codec.decode_symbols_batch(error_patterns(word, singles))
+    assert (ok & (corrected == 1)).all(), np.nonzero(~ok | (corrected != 1))[0]
+    assert (symbols_to_bits(out[:, :28], 8) == data).all()
+    n_single = len(singles)
     assert n_single == 30 * 255
 
     # t=2 code over GF(16), full length: every 1- and 2-symbol error pattern.
     codec2 = ReedSolomonCodec(4, 4)
     data2 = rng.integers(0, 2, 44).astype(np.uint8)
-    word2 = codec2.encode(data2)
-    n_double = 0
-    for pos in range(15):
-        for val in range(1, 16):
-            bad = word2.symbols.copy()
-            bad[pos] ^= val
-            res = codec2.decode(word2.with_symbols(bad))
-            assert res.ok and res.corrected == 1 and np.array_equal(res.data, data2)
-    for p1, p2 in itertools.combinations(range(15), 2):
-        for v1 in range(1, 16):
-            for v2 in range(1, 16):
-                bad = word2.symbols.copy()
-                bad[p1] ^= v1
-                bad[p2] ^= v2
-                res = codec2.decode(word2.with_symbols(bad))
-                assert res.ok and res.corrected == 2, (p1, p2, v1, v2)
-                assert np.array_equal(res.data, data2), (p1, p2, v1, v2)
-                n_double += 1
+    word2 = codec2.encode_batch(data2[None, :])[0]
+    singles2 = [((pos, val),) for pos in range(15) for val in range(1, 16)]
+    out, corrected, ok = codec2.decode_symbols_batch(error_patterns(word2, singles2))
+    assert (ok & (corrected == 1)).all()
+    assert (symbols_to_bits(out[:, :11], 4) == data2).all()
+    doubles = [((p1, v1), (p2, v2))
+               for p1, p2 in itertools.combinations(range(15), 2)
+               for v1 in range(1, 16) for v2 in range(1, 16)]
+    out, corrected, ok = codec2.decode_symbols_batch(error_patterns(word2, doubles))
+    failed = ~ok | (corrected != 2)
+    assert not failed.any(), [doubles[i] for i in np.nonzero(failed)[0][:5]]
+    wrong = np.any(symbols_to_bits(out[:, :11], 4) != data2, axis=1)
+    assert not wrong.any(), [doubles[i] for i in np.nonzero(wrong)[0][:5]]
+    n_double = len(doubles)
     print(f"\nACCEPTANCE 2: PASS - RS guarantee: {n_single} single-symbol "
           f"cases (s=8,t=1) and {n_double} double-symbol cases (s=4,t=2), "
           f"100% corrected")

@@ -84,6 +84,17 @@ def test_invalid_values_name_the_key(line, key):
         parse_spec(f"table_path = t.csv\n{line}\n")
 
 
+@pytest.mark.parametrize("key", ["duration_s", "update_interval_s",
+                                 "epsilon.bpsk", "epsilon.16qam",
+                                 "rate_gbps.qpsk", "rate_gbps.8psk"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_values_name_the_key(key, value):
+    # float() parses all three; "epsilon.bpsk = nan" would silently turn off
+    # movement detection, since no BER jump compares >= nan.
+    with pytest.raises(SpecError, match=key.replace(".", "\\.")):
+        parse_spec(f"table_path = t.csv\n{key} = {value}\n")
+
+
 def test_env_overrides():
     environ = {f"{ENV_PREFIX}SEED": "77",
                f"{ENV_PREFIX}EPSILON__16QAM": "1.5e-4",

@@ -1,10 +1,8 @@
 """Golden outputs: every byte the data plane produces, pinned by value.
 
-The hashes and statistics below were computed with the per-row scalar
-decoders, before the batched decoders replaced them. Any change to the codecs,
-the channel or the simulator loop that is meant to preserve behaviour must
-leave them exactly as they are; a change that alters outputs on purpose
-re-freezes them and says so.
+A change to the codecs, the channel or the simulator loop that is meant to
+preserve behaviour must leave the hashes and statistics below exactly as they
+are; a change that alters outputs on purpose re-freezes them and says so.
 """
 
 import hashlib

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from thzlink.mdpc import (MdpcBlock, MdpcCodec, correctable_bits_for,
-                          mdpc_decode, mdpc_encode, parity_bits_for)
+from reference_codecs import MdpcBlock, mdpc_decode, mdpc_encode
+from thzlink.mdpc import MdpcCodec, correctable_bits_for, parity_bits_for
 
 
 def all_lines_even(cells: np.ndarray) -> bool:
@@ -12,18 +12,31 @@ def all_lines_even(cells: np.ndarray) -> bool:
                for a in range(cells.ndim))
 
 
+def encode_cube(codec, data_bits):
+    """Coded cube of one word through the batched encoder."""
+    coded = codec.encode_batch(np.asarray(data_bits, dtype=np.uint8)[None, :])
+    return coded[0].reshape((codec.m + 1,) * codec.n)
+
+
+def single_flips(cube):
+    """One received word per cell, with that cell flipped."""
+    rx = np.tile(cube.reshape(-1), (cube.size, 1))
+    rx[np.arange(cube.size), np.arange(cube.size)] ^= 1
+    return rx
+
+
 def test_encode_hand_example_2x2():
-    block = mdpc_encode(np.array([1, 0, 0, 0], dtype=np.uint8), 2, 2)
-    assert list(block.cells[:2, 2]) == [1, 0]  # row parities
-    assert list(block.cells[2, :2]) == [1, 0]  # column parities
-    assert block.cells[2, 2] == 1  # parity on parity
-    assert all_lines_even(block.cells)
+    cells = encode_cube(MdpcCodec(2, 2), [1, 0, 0, 0])
+    assert list(cells[:2, 2]) == [1, 0]  # row parities
+    assert list(cells[2, :2]) == [1, 0]  # column parities
+    assert cells[2, 2] == 1  # parity on parity
+    assert all_lines_even(cells)
 
 
 def test_all_zero_data_gives_zero_parity():
-    block = mdpc_encode(np.zeros(4, dtype=np.uint8), 2, 2)
-    assert not block.cells.any()
-    assert block.r_bits == 5
+    codec = MdpcCodec(2, 2)
+    assert not encode_cube(codec, np.zeros(4)).any()
+    assert codec.r_bits == 5
 
 
 def test_parity_count_formula():
@@ -36,54 +49,50 @@ def test_parity_count_formula():
 
 @pytest.mark.parametrize("m,n", [(2, 2), (5, 2), (16, 2), (2, 3), (3, 3), (2, 4)])
 def test_encoder_line_parity_invariant(m, n, rng):
-    for _ in range(5):
-        data = rng.integers(0, 2, m ** n).astype(np.uint8)
-        block = mdpc_encode(data, m, n)
-        assert all_lines_even(block.cells)
-        assert np.array_equal(block.data_bits(), data)
-        assert block.to_bits().size == (m + 1) ** n
+    codec = MdpcCodec(m, n)
+    data = rng.integers(0, 2, (5, m ** n)).astype(np.uint8)
+    coded = codec.encode_batch(data)
+    assert coded.shape == (5, (m + 1) ** n)
+    for row, bits in zip(coded, data):
+        cells = row.reshape((m + 1,) * n)
+        assert all_lines_even(cells)
+        assert np.array_equal(cells[(slice(0, m),) * n].reshape(-1), bits)
+        assert np.array_equal(row, mdpc_encode(bits, m, n).to_bits())
 
 
 def test_encode_parameter_errors():
+    codec = MdpcCodec(2, 2)
     with pytest.raises(ValueError):
-        mdpc_encode(np.zeros(3, dtype=np.uint8), 2, 2)  # wrong length
+        codec.encode_batch(np.zeros((1, 3), dtype=np.uint8))  # wrong length
     with pytest.raises(ValueError):
-        mdpc_encode(np.zeros(1, dtype=np.uint8), 1, 2)  # m too small
+        MdpcCodec(1, 2)  # m too small
     with pytest.raises(ValueError):
-        MdpcBlock.from_bits(np.zeros(8, dtype=np.uint8), 2, 2)
+        codec.decode_batch(np.zeros((1, 8), dtype=np.uint8))
 
 
 def test_decode_clean_block_is_idempotent(rng):
-    data = rng.integers(0, 2, 36).astype(np.uint8)
-    block = mdpc_encode(data, 6, 2)
-    res = mdpc_decode(block)
-    assert res.status == "error-free"
-    assert res.iterations == 0 and res.flipped == 0
-    assert np.array_equal(res.data, data)
+    codec = MdpcCodec(6, 2)
+    data = rng.integers(0, 2, (1, 36)).astype(np.uint8)
+    dec, iters, flips, ok = codec.decode_batch(codec.encode_batch(data))
+    assert ok[0] and iters[0] == 0 and flips[0] == 0
+    assert np.array_equal(dec, data)
 
 
 @pytest.mark.parametrize("m", [2, 4, 7])
 def test_single_bit_errors_all_positions_2d(m, rng):
+    codec = MdpcCodec(m, 2)
     data = rng.integers(0, 2, m * m).astype(np.uint8)
-    block = mdpc_encode(data, m, 2)
-    for pos in range((m + 1) ** 2):
-        bad = block.to_bits()
-        bad[pos] ^= 1
-        res = mdpc_decode(MdpcBlock.from_bits(bad, m, 2))
-        assert res.status == "corrected"
-        assert res.iterations == 1 and res.flipped == 1
-        assert np.array_equal(res.data, data)
+    dec, iters, flips, ok = codec.decode_batch(single_flips(encode_cube(codec, data)))
+    assert ok.all() and (iters == 1).all() and (flips == 1).all()
+    assert (dec == data).all()
 
 
 def test_single_bit_error_3d(rng):
+    codec = MdpcCodec(3, 3)
     data = rng.integers(0, 2, 27).astype(np.uint8)
-    block = mdpc_encode(data, 3, 3)
-    for pos in range(4 ** 3):
-        bad = block.to_bits()
-        bad[pos] ^= 1
-        res = mdpc_decode(MdpcBlock.from_bits(bad, 3, 3))
-        assert res.status == "corrected"
-        assert np.array_equal(res.data, data)
+    dec, _, flips, ok = codec.decode_batch(single_flips(encode_cube(codec, data)))
+    assert ok.all() and (flips > 0).all()
+    assert (dec == data).all()
 
 
 def test_double_errors_2d_always_flagged_uncorrectable(rng):
@@ -91,49 +100,48 @@ def test_double_errors_2d_always_flagged_uncorrectable(rng):
     # (same line, max FDM 1) or oscillates to the iteration cap. Neither
     # may come back as a clean block.
     m = 4
+    codec = MdpcCodec(m, 2)
     data = rng.integers(0, 2, m * m).astype(np.uint8)
-    block = mdpc_encode(data, m, 2)
-    n_bits = (m + 1) ** 2
-    for p1, p2 in itertools.combinations(range(n_bits), 2):
-        bad = block.to_bits()
+    clean = encode_cube(codec, data).reshape(-1)
+    pairs = list(itertools.combinations(range(clean.size), 2))
+    rx = np.tile(clean, (len(pairs), 1))
+    for bad, (p1, p2) in zip(rx, pairs):
         bad[p1] ^= 1
         bad[p2] ^= 1
-        res = mdpc_decode(MdpcBlock.from_bits(bad, m, 2))
-        assert res.status == "uncorrectable"
+    _, _, _, ok = codec.decode_batch(rx)
+    assert not ok.any()
 
 
 def test_two_errors_same_row_stall_without_flips(rng):
-    data = rng.integers(0, 2, 16).astype(np.uint8)
-    block = mdpc_encode(data, 4, 2)
-    bad = block.cells.copy()
+    codec = MdpcCodec(4, 2)
+    bad = encode_cube(codec, rng.integers(0, 2, 16))
     bad[1, 0] ^= 1
     bad[1, 3] ^= 1
-    res = mdpc_decode(MdpcBlock(bad))
-    assert res.status == "uncorrectable"
-    assert res.flipped == 0 and res.iterations == 0
+    _, iters, flips, ok = codec.decode_batch(bad.reshape(1, -1))
+    assert not ok[0]
+    assert flips[0] == 0 and iters[0] == 0
 
 
 def test_iteration_cap_bounds_oscillation(rng):
-    data = rng.integers(0, 2, 16).astype(np.uint8)
-    block = mdpc_encode(data, 4, 2)
-    bad = block.cells.copy()
+    codec = MdpcCodec(4, 2, max_iterations=6)
+    bad = encode_cube(codec, rng.integers(0, 2, 16))
     bad[0, 0] ^= 1
     bad[2, 2] ^= 1  # diagonal pair flips back and forth
-    res = mdpc_decode(MdpcBlock(bad), max_iterations=6)
-    assert res.status == "uncorrectable"
-    assert res.iterations == 6
+    _, iters, _, ok = codec.decode_batch(bad.reshape(1, -1))
+    assert not ok[0]
+    assert iters[0] == 6
 
 
 def test_three_in_a_row_recovered(rng):
     # Beyond the guarantee, but the iterative decoder fixes collinear triples.
+    codec = MdpcCodec(4, 2)
     data = rng.integers(0, 2, 16).astype(np.uint8)
-    block = mdpc_encode(data, 4, 2)
-    bad = block.cells.copy()
+    bad = encode_cube(codec, data)
     for c in (0, 2, 4):
         bad[1, c] ^= 1
-    res = mdpc_decode(MdpcBlock(bad))
-    assert res.status == "corrected"
-    assert np.array_equal(res.data, data)
+    dec, _, flips, ok = codec.decode_batch(bad.reshape(1, -1))
+    assert ok[0] and flips[0] > 0
+    assert np.array_equal(dec[0], data)
 
 
 def test_codec_batch_matches_scalar(rng):

@@ -4,29 +4,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thzlink.gf import get_field
-from thzlink.rs import (ReedSolomonCodec, RsCodeword, bits_to_symbols,
-                        generator_poly, rs_decode, rs_encode, symbols_to_bits)
+from reference_codecs import RsCodeword, ScalarRsCodec, longdiv_parity
+from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 
 VECTORS = Path(__file__).parent / "vectors" / "rs_vectors.txt"
 
 
-def longdiv_parity(data_syms, s, r):
-    """Oracle: schoolbook long division of x^r * M(x) by g(x)."""
-    gf = get_field(s)
-    g = generator_poly(gf, r)
-    work = list(data_syms) + [0] * r
-    for i in range(len(data_syms)):
-        lead = work[i]
-        if lead == 0:
-            continue
-        for j, gc in enumerate(g):
-            work[i + j] ^= gf.mul(lead, gc)
-    return work[-r:]
-
-
 def syms_to_bit_array(syms, s):
     return symbols_to_bits(np.asarray(syms, dtype=np.int64), s)
+
+
+def encode_one(codec, data_bits):
+    """Transmitted symbols of one word through the batched encoder."""
+    return codec.encode_batch(np.asarray(data_bits)[None, :])[0]
 
 
 # -- encoding ---------------------------------------------------------------
@@ -35,8 +25,8 @@ def syms_to_bit_array(syms, s):
 def test_parity_matches_frozen_hand_vector():
     # data symbols 1,2,3,4 over GF(16) with two parity symbols
     codec = ReedSolomonCodec(4, 2)
-    cw = codec.encode(syms_to_bit_array([1, 2, 3, 4], 4))
-    assert list(cw.symbols) == [1, 2, 3, 4, 0xC, 0x3]
+    tx = encode_one(codec, syms_to_bit_array([1, 2, 3, 4], 4))
+    assert list(tx) == [1, 2, 3, 4, 0xC, 0x3]
 
 
 def test_parity_matches_fixture_vectors():
@@ -50,8 +40,8 @@ def test_parity_matches_fixture_vectors():
         w = width[s]
         data = [int(data_hex[i:i + w], 16) for i in range(0, len(data_hex), w)]
         parity = [int(parity_hex[i:i + w], 16) for i in range(0, len(parity_hex), w)]
-        cw = ReedSolomonCodec(s, r).encode(syms_to_bit_array(data, s))
-        assert list(cw.symbols) == data + parity, line
+        tx = encode_one(ReedSolomonCodec(s, r), syms_to_bit_array(data, s))
+        assert list(tx) == data + parity, line
         assert longdiv_parity(data, s, r) == parity, line
         n_cases += 1
     assert n_cases >= 10
@@ -61,48 +51,50 @@ def test_parity_matches_fixture_vectors():
                                            (5, 2, 20), (8, 2, 28), (8, 4, 40)])
 def test_encode_matches_longdiv_oracle(s, r, k_symbols, rng):
     codec = ReedSolomonCodec(s, r)
-    for _ in range(20):
-        data = list(int(x) for x in rng.integers(0, 1 << s, k_symbols))
-        cw = codec.encode(syms_to_bit_array(data, s))
-        assert list(cw.symbols[k_symbols:]) == longdiv_parity(data, s, r)
+    data = rng.integers(0, 1 << s, (20, k_symbols))
+    tx = codec.encode_batch(symbols_to_bits(data, s))
+    for row, syms in zip(tx, data):
+        assert list(row[k_symbols:]) == longdiv_parity(syms, s, r)
 
 
 def test_all_zero_data_gives_all_zero_parity():
     for s, r in [(3, 2), (4, 2), (4, 4), (8, 2)]:
-        cw = rs_encode(np.zeros(s * 5, dtype=np.uint8), s, r)
-        assert not cw.symbols.any()
+        tx = ReedSolomonCodec(s, r).encode_batch(np.zeros((1, s * 5), dtype=np.uint8))
+        assert not tx.any()
 
 
 def test_paper_geometry_k224_s8():
-    cw = rs_encode(np.zeros(224, dtype=np.uint8), 8, 2)
-    assert len(cw.symbols) == 30
-    assert cw.k_symbols == 28 and cw.r_symbols == 2
-    assert cw.zero_pad == 225
-    assert cw.k_bits == 224 and cw.r_bits == 16
+    codec = ReedSolomonCodec(8, 2)
+    tx = codec.encode_batch(np.zeros((1, 224), dtype=np.uint8))
+    assert tx.shape == (1, 30)  # 28 data + 2 parity symbols
+    assert codec.t == 1
+    word = RsCodeword.from_bits(symbols_to_bits(tx[0], 8), 8, 28, 2)
+    assert word.zero_pad == 225
+    assert word.k_bits == 224 and word.r_bits == 16
 
 
 def test_systematic_prefix_is_the_data(rng):
     data = rng.integers(0, 2, 224).astype(np.uint8)
-    cw = rs_encode(data, 8, 2)
-    assert np.array_equal(cw.to_bits()[:224], data)
+    tx = encode_one(ReedSolomonCodec(8, 2), data)
+    assert np.array_equal(symbols_to_bits(tx, 8)[:224], data)
 
 
 def test_parity_is_linear_in_the_data(rng):
     codec = ReedSolomonCodec(8, 2)
-    for _ in range(10):
-        d1 = rng.integers(0, 2, 224).astype(np.uint8)
-        d2 = rng.integers(0, 2, 224).astype(np.uint8)
-        p1 = codec.encode(d1).symbols[28:]
-        p2 = codec.encode(d2).symbols[28:]
-        p12 = codec.encode(d1 ^ d2).symbols[28:]
-        assert np.array_equal(p12, p1 ^ p2)
+    d1 = rng.integers(0, 2, (10, 224)).astype(np.uint8)
+    d2 = rng.integers(0, 2, (10, 224)).astype(np.uint8)
+    p1 = codec.encode_batch(d1)[:, 28:]
+    p2 = codec.encode_batch(d2)[:, 28:]
+    p12 = codec.encode_batch(d1 ^ d2)[:, 28:]
+    assert np.array_equal(p12, p1 ^ p2)
 
 
 def test_encode_parameter_errors():
+    codec = ReedSolomonCodec(4, 2)
     with pytest.raises(ValueError):
-        rs_encode(np.zeros(10, dtype=np.uint8), 4, 2)  # K not divisible by s
+        codec.encode_batch(np.zeros((1, 10), dtype=np.uint8))  # K not divisible by s
     with pytest.raises(ValueError):
-        rs_encode(np.zeros(4 * 14, dtype=np.uint8), 4, 2)  # 14 + 2 > 15 symbols
+        codec.encode_batch(np.zeros((1, 4 * 14), dtype=np.uint8))  # 14 + 2 > 15 symbols
     with pytest.raises(ValueError):
         ReedSolomonCodec(4, 0)
 
@@ -118,16 +110,21 @@ def test_bit_symbol_packing_roundtrip(rng):
 # -- decoding ---------------------------------------------------------------
 
 
+def decode_data(codec, rx, k_symbols):
+    """Batched decode; returns (data bits, corrected counts, ok flags)."""
+    out, corrected, ok = codec.decode_symbols_batch(rx)
+    return symbols_to_bits(out[:, :k_symbols], codec.s), corrected, ok
+
+
 @pytest.mark.parametrize("s,r,k_bits", [(2, 2, 2), (3, 2, 9), (4, 2, 40),
                                         (4, 4, 36), (8, 2, 224), (8, 4, 320),
                                         (12, 2, 1200)])
 def test_roundtrip_without_errors(s, r, k_bits, rng):
     codec = ReedSolomonCodec(s, r)
-    for _ in range(5):
-        data = rng.integers(0, 2, k_bits).astype(np.uint8)
-        res = codec.decode(codec.encode(data))
-        assert res.ok and res.corrected == 0 and res.status == "error-free"
-        assert np.array_equal(res.data, data)
+    data = rng.integers(0, 2, (5, k_bits)).astype(np.uint8)
+    decoded, corrected, ok = decode_data(codec, codec.encode_batch(data), k_bits // s)
+    assert ok.all() and not corrected.any()
+    assert np.array_equal(decoded, data)
 
 
 @pytest.mark.parametrize("s,r", [(2, 2), (3, 2), (4, 2)])
@@ -135,30 +132,30 @@ def test_single_symbol_errors_exhaustive_small_fields(s, r, rng):
     codec = ReedSolomonCodec(s, r)
     k_symbols = (1 << s) - 1 - r  # full-length code
     data = rng.integers(0, 2, s * k_symbols).astype(np.uint8)
-    cw = codec.encode(data)
-    for pos in range(len(cw.symbols)):
-        for val in range(1, 1 << s):
-            bad = cw.symbols.copy()
-            bad[pos] ^= val
-            res = codec.decode(cw.with_symbols(bad))
-            assert res.ok and res.corrected == 1
-            assert np.array_equal(res.data, data)
+    tx = encode_one(codec, data)
+    patterns = list(itertools.product(range(len(tx)), range(1, 1 << s)))
+    rx = np.tile(tx, (len(patterns), 1))
+    for row, (pos, val) in enumerate(patterns):
+        rx[row, pos] ^= val
+    decoded, corrected, ok = decode_data(codec, rx, k_symbols)
+    assert ok.all() and (corrected == 1).all()
+    assert (decoded == data).all()
 
 
 def test_two_symbol_errors_randomized_t2_gf256(rng):
     # 10^4 random double errors on a t=2 code over GF(256): all corrected.
     codec = ReedSolomonCodec(8, 4)
     data = rng.integers(0, 2, 8 * 60).astype(np.uint8)
-    cw = codec.encode(data)
-    n = len(cw.symbols)
-    for _ in range(10_000):
+    tx = encode_one(codec, data)
+    n = len(tx)
+    rx = np.tile(tx, (10_000, 1))
+    for bad in rx:
         p1, p2 = rng.choice(n, size=2, replace=False)
-        bad = cw.symbols.copy()
         bad[p1] ^= int(rng.integers(1, 256))
         bad[p2] ^= int(rng.integers(1, 256))
-        res = codec.decode(cw.with_symbols(bad))
-        assert res.ok and res.corrected == 2
-        assert np.array_equal(res.data, data)
+    decoded, corrected, ok = decode_data(codec, rx, 60)
+    assert ok.all() and (corrected == 2).all()
+    assert (decoded == data).all()
 
 
 def test_beyond_capability_never_reported_clean(rng):
@@ -166,19 +163,21 @@ def test_beyond_capability_never_reported_clean(rng):
     # with corrected == 1; never accepted as an error-free word.
     codec = ReedSolomonCodec(8, 2)
     data = rng.integers(0, 2, 224).astype(np.uint8)
-    cw = codec.encode(data)
-    outcomes = {"uncorrectable": 0, "misdecode": 0}
-    for p1, p2 in itertools.combinations(range(30), 2):
-        bad = cw.symbols.copy()
+    tx = encode_one(codec, data)
+    pairs = list(itertools.combinations(range(30), 2))
+    rx = np.tile(tx, (len(pairs), 1))
+    for bad, (p1, p2) in zip(rx, pairs):
         bad[p1] ^= int(rng.integers(1, 256))
         bad[p2] ^= int(rng.integers(1, 256))
-        res = codec.decode(cw.with_symbols(bad))
-        if not res.ok:
+    decoded, corrected, ok = decode_data(codec, rx, 28)
+    outcomes = {"uncorrectable": 0, "misdecode": 0}
+    for row in range(len(pairs)):
+        if not ok[row]:
             outcomes["uncorrectable"] += 1
             continue
         # A t=1 decoder can never return the original word from 2 errors.
-        assert res.corrected == 1
-        assert not np.array_equal(res.data, data)
+        assert corrected[row] == 1
+        assert not np.array_equal(decoded[row], data)
         outcomes["misdecode"] += 1
     assert outcomes["uncorrectable"] + outcomes["misdecode"] == 435
     # The 225 implied pad symbols catch most wrong locators.
@@ -192,9 +191,10 @@ def test_decode_batch_matches_scalar(rng):
     noise = rng.integers(0, 256, tx.shape) * (rng.random(tx.shape) < 0.02)
     rx = tx ^ noise
     out, corrected, ok = codec.decode_symbols_batch(rx)
-    template = codec.encode(data[0])
+    oracle = ScalarRsCodec(8, 2)
+    template = oracle.encode(data[0])
     for i in range(400):
-        res = codec.decode(template.with_symbols(rx[i]))
+        res = oracle.decode(template.with_symbols(rx[i]))
         assert res.ok == ok[i]
         assert res.corrected == corrected[i]
         assert np.array_equal(res.data, symbols_to_bits(out[i, :28], 8))
@@ -207,23 +207,19 @@ def test_decode_batch_matches_scalar_t2(rng):
     noise = rng.integers(0, 16, tx.shape) * (rng.random(tx.shape) < 0.08)
     rx = tx ^ noise
     out, corrected, ok = codec.decode_symbols_batch(rx)
-    template = codec.encode(data[0])
+    oracle = ScalarRsCodec(4, 4)
+    template = oracle.encode(data[0])
     for i in range(200):
-        res = codec.decode(template.with_symbols(rx[i]))
+        res = oracle.decode(template.with_symbols(rx[i]))
         assert (res.ok, res.corrected) == (ok[i], corrected[i])
         assert np.array_equal(res.data, symbols_to_bits(out[i, :9], 4))
 
 
-def test_module_level_roundtrip(rng):
-    data = rng.integers(0, 2, 16).astype(np.uint8)
-    word = rs_encode(data, 4, 2)
-    res = rs_decode(word)
-    assert res.ok and np.array_equal(res.data, data)
-
-
 def test_codeword_from_bits_roundtrip(rng):
+    # The reference codeword type that the differential tests build on.
     data = rng.integers(0, 2, 224).astype(np.uint8)
-    cw = rs_encode(data, 8, 2)
+    cw = ScalarRsCodec(8, 2).encode(data)
+    assert np.array_equal(cw.symbols, encode_one(ReedSolomonCodec(8, 2), data))
     rebuilt = RsCodeword.from_bits(cw.to_bits(), 8, cw.k_symbols, cw.r_symbols)
     assert np.array_equal(rebuilt.symbols, cw.symbols)
     assert rebuilt.zero_pad == cw.zero_pad
@@ -231,8 +227,9 @@ def test_codeword_from_bits_roundtrip(rng):
         RsCodeword.from_bits(cw.to_bits(), 8, 10, 2)
 
 
-def test_decode_rejects_wrong_length(rng):
+def test_decode_rejects_wrong_length():
     codec = ReedSolomonCodec(4, 2)
-    cw = codec.encode(rng.integers(0, 2, 16).astype(np.uint8))
     with pytest.raises(ValueError):
-        codec.decode(cw.with_symbols(cw.symbols[:-1]))
+        codec.decode_symbols_batch(np.zeros((1, 16), dtype=np.int64))  # > 2^4 - 1
+    with pytest.raises(ValueError):
+        codec.decode_symbols_batch(np.zeros((1, 2), dtype=np.int64))  # parity only
