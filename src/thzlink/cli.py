@@ -19,13 +19,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-table", help="write the synthetic default BER table")
     gen.add_argument("--out", required=True, help="output CSV path")
-    gen.add_argument("--d-min", type=float, default=0.5)
-    gen.add_argument("--d-max", type=float, default=20.0)
-    gen.add_argument("--step", type=float, default=0.5)
-    gen.add_argument("--path-loss-exp", type=float, default=2.0)
-    gen.add_argument("--absorption-db-per-m", type=float, default=0.3)
-    gen.add_argument("--anchor-distance", type=float, default=20.0)
-    gen.add_argument("--anchor-ber", type=float, default=0.0579)
+    model = TableModel()
+    gen.add_argument("--d-min", type=float, default=model.d_min_m)
+    gen.add_argument("--d-max", type=float, default=model.d_max_m)
+    gen.add_argument("--step", type=float, default=model.d_step_m)
+    gen.add_argument("--path-loss-exp", type=float, default=model.path_loss_exp)
+    gen.add_argument("--absorption-db-per-m", type=float, default=model.absorption_db_per_m)
+    gen.add_argument("--anchor-distance", type=float, default=model.anchor_distance_m)
+    gen.add_argument("--anchor-ber", type=float, default=model.anchor_ber)
 
     run = sub.add_parser("run", help="run a full simulation scenario")
     run.add_argument("--spec", help="run-spec file (flat key = value lines)")
@@ -37,11 +38,12 @@ def _build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("optimize", help="one-shot candidate report for a distance")
     opt.add_argument("--table", required=True, help="BER table CSV")
     opt.add_argument("--distance", type=float, required=True, help="distance in meters")
-    opt.add_argument("--t-mdpc", type=int, default=1)
-    opt.add_argument("--t-rs", type=int, default=1)
-    opt.add_argument("--s-min", type=int, default=3)
-    opt.add_argument("--s-max", type=int, default=12)
-    opt.add_argument("--m-max", type=int, default=1024)
+    params = OptimizerParams()
+    opt.add_argument("--t-mdpc", type=int, default=params.t_mdpc)
+    opt.add_argument("--t-rs", type=int, default=params.t_rs)
+    opt.add_argument("--s-min", type=int, default=params.s_min)
+    opt.add_argument("--s-max", type=int, default=params.s_max)
+    opt.add_argument("--m-max", type=int, default=params.m_max)
     return parser
 
 

@@ -19,6 +19,13 @@ ENV_PREFIX = "THZLINK_"
 
 BER_ESTIMATORS = ("sampled", "exact")
 
+# Most generations (duration_s / update_interval_s * generations_per_interval)
+# one run may ask for: 8250 times the default spec's 1.212e6, which take
+# about 20 s on a 2-core Xeon, so about two days of simulation. A tiny
+# update_interval_s asks for far more (6e303 at 1e-300, inf at 1e-320), and
+# such a run would never end.
+MAX_GENERATIONS = 1e10
+
 
 class SpecError(ValueError):
     """Raised for malformed, unknown, or out-of-range spec entries."""
@@ -190,6 +197,11 @@ def _validate(spec: RunSpec) -> None:
         bad("mdpc_max_iterations", "must be >= 1")
     if spec.generations_per_interval < 1:
         bad("generations_per_interval", "must be >= 1")
+    generations = (spec.duration_s / spec.update_interval_s
+                   * spec.generations_per_interval)
+    if generations > MAX_GENERATIONS:
+        bad("duration_s / update_interval_s * generations_per_interval",
+            f"asks for {generations:.3g} generations, more than {MAX_GENERATIONS:.0e}")
     if spec.ber_estimator not in BER_ESTIMATORS:
         bad("ber_estimator", f"must be one of {', '.join(BER_ESTIMATORS)}")
     for mod in MODULATIONS:

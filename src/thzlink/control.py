@@ -299,6 +299,8 @@ class AdaptiveController:
         self.generations = 0
 
     def on_ber_update(self, msg: BerMessage) -> ControlAction:
+        if not math.isfinite(msg.ber_m):
+            raise ValueError(f"BER report must be finite, got {msg.ber_m!r}")
         eps = self.policy.threshold(self.current_config.modulation)
         n_compares = len(self.buffer)
         if any(abs(msg.ber_m - buffered) >= eps for buffered in self.buffer):
@@ -317,10 +319,7 @@ class AdaptiveController:
 
     def _generate(self, ber_m: float, n_compares: int) -> LinkConfig:
         distance = estimate_distance(ber_m, self.current_config.modulation, self.table)
-        p_by_mod = {mod: self.table.lookup(distance, mod) for mod in MODULATIONS}
-        candidates = (mdpc_candidates(p_by_mod, self.params)
-                      + rs_candidates(p_by_mod, self.params))
-        config = select_config(candidates, self.rates)
+        _, config = optimize_for_distance(self.table, distance, self.rates, self.params)
         units = complexity_units(n_compares + 1, len(MODULATIONS), len(SCHEMES))
         self.last_generation_units = units
         self.total_units += units

@@ -36,18 +36,21 @@ class GF:
         self.order = 1 << s
         self.poly = PRIMITIVE_POLYS[s]
         q = self.order
-        exp = np.zeros(2 * q, dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
+        # log(0) is a sentinel past every sum of two real logs, and exp is
+        # zero from the sentinel on, so a table product with a zero operand
+        # (or a quotient of zero) is zero without a mask. Below the sentinel
+        # exp runs through the cycle twice, so a sum of two real logs never
+        # needs a mod.
+        zero_log = 2 * (q - 1)
+        exp = np.zeros(2 * zero_log + 1, dtype=np.int64)
+        log = np.full(q, zero_log, dtype=np.int64)
         x = 1
         for i in range(q - 1):
-            exp[i] = x
+            exp[i] = exp[i + q - 1] = x
             log[x] = i
             x <<= 1
             if x & q:
                 x ^= self.poly
-        # Duplicate the antilog table so products of two logs never need a mod.
-        for i in range(q - 1, 2 * q):
-            exp[i] = exp[i - (q - 1)]
         self.exp = exp
         self.log = log
 
@@ -55,15 +58,11 @@ class GF:
         return f"GF(2^{self.s})"
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return int(self.exp[self.log[a] + self.log[b]])
 
     def div(self, a: int, b: int) -> int:
         if b == 0:
             raise ZeroDivisionError("division by zero in GF(2^s)")
-        if a == 0:
-            return 0
         return int(self.exp[self.log[a] - self.log[b] + self.order - 1])
 
     def inv(self, a: int) -> int:
@@ -82,10 +81,38 @@ class GF:
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two arrays of field elements."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self.exp[self.log[a] + self.log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self.exp[self.log[a] + self.log[b]]
+
+    def dot_logs(self, a: np.ndarray, log_mat: np.ndarray) -> np.ndarray:
+        """Product a @ M.T of a (B, n) element block and M given as (m, n) logs.
+
+        Returns (B, m). It is built one output column at a time, so the
+        largest temporary is (B, n), not (B, m, n).
+        """
+        logs = self.log[a]
+        out = np.empty((logs.shape[0], log_mat.shape[0]), dtype=np.int64)
+        for j, row in enumerate(log_mat):
+            out[:, j] = np.bitwise_xor.reduce(self.exp[logs + row], axis=1)
+        return out
+
+    def inv_matrix(self, mat: np.ndarray) -> np.ndarray:
+        """Inverse of a square matrix of field elements, by Gauss-Jordan."""
+        mat = np.asarray(mat, dtype=np.int64)
+        n = mat.shape[0]
+        if mat.shape != (n, n):
+            raise ValueError(f"matrix of shape {mat.shape} is not square")
+        aug = np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1)
+        for col in range(n):
+            nonzero = np.flatnonzero(aug[col:, col])
+            if nonzero.size == 0:
+                raise ValueError("matrix is singular over GF(2^s)")
+            pivot = col + nonzero[0]
+            aug[[col, pivot]] = aug[[pivot, col]]
+            aug[col] = self.mul_vec(aug[col], self.inv(int(aug[col, col])))
+            factors = aug[:, col].copy()
+            factors[col] = 0
+            aug ^= self.mul_vec(factors[:, None], aug[col][None, :])
+        return aug[:, n:]
 
 
 @functools.lru_cache(maxsize=None)

@@ -160,8 +160,4 @@ def transmit(bits: np.ndarray, p_e: float, rng: np.random.Generator) -> np.ndarr
     Works on arrays of any shape; deterministic for a fixed generator state.
     """
     bits = np.asarray(bits, dtype=np.uint8)
-    if p_e <= 0.0:
-        return bits.copy()
-    if p_e >= 1.0:
-        return bits ^ 1
     return bits ^ sample_flip_mask(bits.shape, p_e, rng)

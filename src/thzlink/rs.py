@@ -3,17 +3,21 @@
 A codeword carries K data bits and R redundant bits as (K+R)/s symbols.
 The code is shortened from the full length 2^s - 1 by Z zero-pad symbols
 that sit in front of the data symbols; they are never transmitted but are
-implied (as zeros) during decoding. Decoding works on a batch of words:
-syndromes of every word, then, for the words with nonzero syndromes
-together, the error-locator polynomial (Berlekamp-Massey), error locations
-(Chien search), error values (Forney), correction and re-verification.
-Single-error-correcting codes (r == 2) skip the staged pipeline for a closed
-form.
+implied (as zeros) during decoding.
+
+The code is defined by its parity-check matrix H: row i (i = 1..r) holds
+a^(i*p) at the position that carries x^p. The syndromes of a word are H
+times the word, and encoding solves H c = 0 for the r parity symbols.
+Decoding works on a batch of words: syndromes of every word, then, for the
+words with nonzero syndromes together, the error-locator polynomial
+(Berlekamp-Massey), error locations (Chien search), error values (Forney),
+correction and re-verification. Single-error-correcting codes (r == 2) skip
+the staged pipeline for a closed form.
 """
 
 import numpy as np
 
-from .gf import GF, get_field
+from .gf import get_field
 
 
 def bits_to_symbols(bits: np.ndarray, s: int) -> np.ndarray:
@@ -38,30 +42,12 @@ def symbols_to_bits(symbols: np.ndarray, s: int) -> np.ndarray:
     return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * s,))
 
 
-def _poly_mul(gf: GF, a: list, b: list) -> list:
-    """Product of two polynomials given as coefficient lists, highest power first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] ^= gf.mul(ca, cb)
-    return out
-
-
-def generator_poly(gf: GF, r_symbols: int) -> list:
-    """g(x) = (x - a^1)(x - a^2)...(x - a^r), coefficients highest power first."""
-    g = [1]
-    for i in range(1, r_symbols + 1):
-        g = _poly_mul(gf, g, [1, gf.pow_alpha(i)])
-    return g
-
-
 class ReedSolomonCodec:
     """Encoder/decoder for a fixed symbol size and parity budget.
 
-    Instances precompute the generator polynomial and are stateless after
-    construction, so one codec can serve any number of threads.
+    Instances precompute the inverse of the parity-position block of H and
+    are stateless after construction apart from per-length caches of H, so
+    one codec can serve any number of threads.
     """
 
     def __init__(self, s: int, r_symbols: int):
@@ -73,74 +59,12 @@ class ReedSolomonCodec:
         self.t = r_symbols // 2
         if r_symbols >= self.gf.order - 1:
             raise ValueError("parity cannot fill the whole codeword")
-        self._gen = generator_poly(self.gf, r_symbols)
-        # Per-k caches of the syndrome exponent and parity generator matrices.
+        # Per-k cache of log H for words of k data symbols.
         self._syndrome_logs: dict[int, np.ndarray] = {}
-        self._parity_logs: dict[int, np.ndarray] = {}
-
-    # -- encoding ---------------------------------------------------------
-
-    def _check_k(self, k_bits: int) -> int:
-        if k_bits <= 0 or k_bits % self.s != 0:
-            raise ValueError(f"data length {k_bits} is not a positive multiple of s={self.s}")
-        k_symbols = k_bits // self.s
-        if k_symbols + self.r_symbols > self.gf.order - 1:
-            raise ValueError(
-                f"{k_symbols}+{self.r_symbols} symbols exceed the maximum "
-                f"codeword length {self.gf.order - 1} for s={self.s}")
-        return k_symbols
-
-    def encode_batch(self, data_bits: np.ndarray) -> np.ndarray:
-        """Encode a (B, K) bit block; returns (B, K/s + r) transmitted symbols."""
-        data_bits = np.asarray(data_bits)
-        self._check_k(data_bits.shape[-1])
-        data_syms = bits_to_symbols(data_bits, self.s)
-        parity = self._parity(data_syms)
-        return np.concatenate([data_syms, parity], axis=-1)
-
-    def _parity_log_matrix(self, k_symbols: int) -> np.ndarray:
-        """log of the parity generator: row j holds log(x^(r + k-1-j) mod g).
-
-        Parity of a message is the GF-linear combination of these rows with
-        the data symbols as weights; -1 marks zero entries. Leading zero-pad
-        symbols of the shortened code contribute nothing, so the matrix only
-        covers the real data positions.
-        """
-        mat = self._parity_logs.get(k_symbols)
-        if mat is not None:
-            return mat
-        gf = self.gf
-        r = self.r_symbols
-        # Ascending coefficients of x^r mod g (g is monic of degree r).
-        x_r = [int(self._gen[r - j]) for j in range(r)]
-        rows = np.empty((k_symbols, r), dtype=np.int64)
-        rem = list(x_r)
-        for j in range(k_symbols):
-            # Data position k-1-j carries x-power r+j; store descending
-            # (parity symbol 0 is the highest remaining power, r-1).
-            rows[k_symbols - 1 - j] = rem[::-1]
-            top = rem[r - 1]
-            rem = [0] + rem[: r - 1]
-            if top:
-                rem = [c ^ gf.mul(top, g) for c, g in zip(rem, x_r)]
-        mat = np.where(rows == 0, -1, gf.log[rows])
-        self._parity_logs[k_symbols] = mat
-        return mat
-
-    def _parity(self, data_syms: np.ndarray) -> np.ndarray:
-        """Parity symbols for each row of a (B, k) data-symbol block."""
-        gf = self.gf
-        mat = self._parity_log_matrix(data_syms.shape[-1])
-        logs = gf.log[data_syms]
-        parity = np.zeros((data_syms.shape[0], self.r_symbols), dtype=np.int64)
-        for col in range(self.r_symbols):
-            glog = mat[:, col]
-            terms = gf.exp[logs + glog]
-            terms = np.where((data_syms == 0) | (glog < 0), 0, terms)
-            parity[:, col] = np.bitwise_xor.reduce(terms, axis=-1)
-        return parity
-
-    # -- decoding ---------------------------------------------------------
+        # The parity symbols carry x^(r-1)..x^0 at every length, so the
+        # parity block of the shortest word's H serves them all.
+        parity_block = self.gf.exp[self._syndrome_log_matrix(1)[:, 1:]]
+        self._parity_inv_logs = self.gf.log[self.gf.inv_matrix(parity_block)]
 
     def _syndrome_log_matrix(self, k_symbols: int) -> np.ndarray:
         mat = self._syndrome_logs.get(k_symbols)
@@ -149,22 +73,37 @@ class ReedSolomonCodec:
             length = k_symbols + self.r_symbols
             if not self.r_symbols < length <= qm1:
                 raise ValueError(
-                    f"received word of {length} symbols does not fit a code "
-                    f"with {self.r_symbols} parity symbols over s={self.s}")
+                    f"a word of {length} symbols does not fit a code with "
+                    f"{self.r_symbols} parity symbols over s={self.s}: need "
+                    f"{self.r_symbols} < length <= {qm1}")
             powers = np.arange(length - 1, -1, -1, dtype=np.int64)  # x-power per position
             i = np.arange(1, self.r_symbols + 1, dtype=np.int64)
             mat = (i[:, None] * powers[None, :]) % qm1
             self._syndrome_logs[k_symbols] = mat
         return mat
 
+    # -- encoding ---------------------------------------------------------
+
+    def encode_batch(self, data_bits: np.ndarray) -> np.ndarray:
+        """Encode a (B, K) bit block; returns (B, K/s + r) transmitted symbols.
+
+        With H = [H_d | H_p], parity is H_p^-1 H_d d: the data symbols'
+        syndromes mapped to the parity that cancels them.
+        """
+        data_syms = bits_to_symbols(data_bits, self.s)
+        k_symbols = data_syms.shape[-1]
+        data_logs = self._syndrome_log_matrix(k_symbols)[:, :k_symbols]
+        data_syn = self.gf.dot_logs(data_syms, data_logs)
+        parity = self.gf.dot_logs(data_syn, self._parity_inv_logs)
+        return np.concatenate([data_syms, parity], axis=-1)
+
+    # -- decoding ---------------------------------------------------------
+
     def syndromes_batch(self, symbols: np.ndarray) -> np.ndarray:
         """Syndromes S_1..S_r for each row of a (B, k+r) symbol block."""
         symbols = np.asarray(symbols, dtype=np.int64)
         mat = self._syndrome_log_matrix(symbols.shape[-1] - self.r_symbols)
-        logs = self.gf.log[symbols]
-        terms = self.gf.exp[logs[:, None, :] + mat[None, :, :]]
-        terms = np.where(symbols[:, None, :] == 0, 0, terms)
-        return np.bitwise_xor.reduce(terms, axis=-1)
+        return self.gf.dot_logs(symbols, mat)
 
     def decode_symbols_batch(self, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode a (B, k+r) symbol block, all dirty rows together.
@@ -289,11 +228,9 @@ class ReedSolomonCodec:
         length = out.shape[-1]
         s1 = syn[idx, 0]
         s2 = syn[idx, 1]
-        solvable = (s1 != 0) & (s2 != 0)
-        pos = np.where(solvable, (gf.log[s2] - gf.log[s1]) % qm1, 0)
-        in_range = solvable & (pos < length)
-        value = gf.exp[(2 * gf.log[np.where(s1 == 0, 1, s1)]
-                        - gf.log[np.where(s2 == 0, 1, s2)]) % qm1]
+        pos = (gf.log[s2] - gf.log[s1]) % qm1
+        in_range = (s1 != 0) & (s2 != 0) & (pos < length)
+        value = gf.exp[(2 * gf.log[s1] - gf.log[s2]) % qm1]
         good = idx[in_range]
         out[good, length - 1 - pos[in_range]] ^= value[in_range]
         corrected[good] = 1

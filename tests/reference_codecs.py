@@ -1,10 +1,11 @@
 """Per-word reference codecs: the oracles for the batched codecs in `thzlink`.
 
 Each codec here handles one word at a time in plain Python, the way the
-algorithms are written in textbooks. Beyond GF arithmetic, bit packing and
-the RS generator polynomial they share no code with the library: RS encodes
-by long division and computes syndromes by Horner's rule. Differential tests
-hold the batched codecs to these results exactly.
+algorithms are written in textbooks. Beyond GF arithmetic and bit packing
+they share no code with the library: RS encodes by long division by the
+generator polynomial, where the library solves the parity-check equations,
+and computes syndromes by Horner's rule. Differential tests hold the batched
+codecs to these results exactly.
 """
 
 from dataclasses import dataclass
@@ -13,9 +14,28 @@ import numpy as np
 
 from thzlink.gf import get_field
 from thzlink.mdpc import DEFAULT_MAX_ITERATIONS
-from thzlink.rs import bits_to_symbols, generator_poly, symbols_to_bits
+from thzlink.rs import bits_to_symbols, symbols_to_bits
 
 # -- Reed-Solomon -------------------------------------------------------------
+
+
+def _poly_mul(gf, a: list, b: list) -> list:
+    """Product of two polynomials given as coefficient lists, highest power first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] ^= gf.mul(ca, cb)
+    return out
+
+
+def generator_poly(gf, r_symbols: int) -> list:
+    """g(x) = (x - a^1)(x - a^2)...(x - a^r), coefficients highest power first."""
+    g = [1]
+    for i in range(1, r_symbols + 1):
+        g = _poly_mul(gf, g, [1, gf.pow_alpha(i)])
+    return g
 
 
 def longdiv_parity(data_syms, s, r):

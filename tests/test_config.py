@@ -95,6 +95,16 @@ def test_non_finite_values_name_the_key(key, value):
         parse_spec(f"table_path = t.csv\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize("interval", ["1e-300", "1e-320"])
+def test_unbounded_generation_count_names_the_keys(interval):
+    # Parsed only, never run: 1e-300 asks for ~6e303 intervals and 1e-320
+    # makes the ratio inf, where round() raised OverflowError.
+    with pytest.raises(SpecError) as err:
+        parse_spec(f"table_path = t.csv\nupdate_interval_s = {interval}\n")
+    for key in ("duration_s", "update_interval_s", "generations_per_interval"):
+        assert key in str(err.value)
+
+
 def test_env_overrides():
     environ = {f"{ENV_PREFIX}SEED": "77",
                f"{ENV_PREFIX}EPSILON__16QAM": "1.5e-4",

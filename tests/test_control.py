@@ -250,6 +250,17 @@ def test_controller_clear_on_movement(default_table):
     assert ctl.buffer == [0.0579]
 
 
+@pytest.mark.parametrize("ber_m", [float("nan"), float("inf"), float("-inf")])
+def test_controller_rejects_non_finite_report(default_table, ber_m):
+    # A NaN in the buffer never counts as movement and later crashed
+    # estimate_distance with IndexError.
+    ctl = make_controller(default_table)
+    ctl.on_ber_update(BerMessage(1e-3, 0.0))
+    with pytest.raises(ValueError, match=repr(ber_m)):
+        ctl.on_ber_update(BerMessage(ber_m, 0.5))
+    assert ctl.buffer == [1e-3]
+
+
 def test_controller_emits_config_exactly_on_fill(default_table):
     ctl = make_controller(default_table)
     v = default_table.lookup(20.0, Modulation.QAM16)

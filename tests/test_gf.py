@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from thzlink.gf import GF, PRIMITIVE_POLYS, get_field
@@ -69,7 +70,7 @@ def test_div_and_inv_reject_zero():
         gf.div(3, 0)
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
-    assert gf.div(0, 7) == 0
+    assert all(gf.div(0, b) == 0 for b in range(1, 16))
 
 
 def test_pow():
@@ -87,9 +88,54 @@ def test_mul_vec_matches_scalar(rng):
     gf = get_field(8)
     a = rng.integers(0, 256, 300)
     b = rng.integers(0, 256, 300)
+    a[:20] = 0
+    b[10:30] = 0  # zero a, zero b, and both zero
     out = gf.mul_vec(a, b)
+    assert not out[:30].any()
     for i in range(300):
         assert out[i] == gf.mul(int(a[i]), int(b[i]))
+
+
+@pytest.mark.parametrize("s", [2, 3, 8, 12])
+def test_dot_logs_matches_scalar_sums(s, rng):
+    gf = get_field(s)
+    a = rng.integers(0, gf.order, (6, 9))
+    mat = rng.integers(0, gf.order, (4, 9))
+    a[0] = 0
+    a[1:, 2] = 0
+    mat[1] = 0
+    mat[:, 5] = 0
+    out = gf.dot_logs(a, gf.log[mat])
+    assert out.shape == (6, 4)
+    for b in range(6):
+        for j in range(4):
+            acc = 0
+            for i in range(9):
+                acc ^= gf.mul(int(a[b, i]), int(mat[j, i]))
+            assert out[b, j] == acc
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 8, 12])
+def test_inv_matrix_times_matrix_is_identity(s, rng):
+    gf = get_field(s)
+    for n in (1, 2, 3, 5):
+        while True:
+            mat = rng.integers(0, gf.order, (n, n))
+            try:
+                inv = gf.inv_matrix(mat)
+                break
+            except ValueError:
+                continue  # singular draw
+        # (inv @ mat)[i, j] = sum_k inv[i, k] mat[k, j]
+        assert np.array_equal(gf.dot_logs(inv, gf.log[mat.T]), np.eye(n, dtype=np.int64))
+
+
+def test_inv_matrix_rejects_singular_and_non_square():
+    gf = get_field(4)
+    with pytest.raises(ValueError, match="singular"):
+        gf.inv_matrix([[1, 2], [2, gf.mul(2, 2)]])  # second row = 2 * first
+    with pytest.raises(ValueError, match="square"):
+        gf.inv_matrix([[1, 2, 3], [4, 5, 6]])
 
 
 def test_unknown_symbol_size_rejected():

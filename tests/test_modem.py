@@ -119,8 +119,10 @@ def test_symbol_error_prob_monotonicity():
 
 def test_transmit_degenerate_probabilities(rng):
     bits = rng.integers(0, 2, 1000).astype(np.uint8)
+    state = rng.bit_generator.state
     assert np.array_equal(transmit(bits, 0.0, rng), bits)
     assert np.array_equal(transmit(bits, 1.0, rng), bits ^ 1)
+    assert rng.bit_generator.state == state  # no random numbers drawn
 
 
 def test_transmit_flip_rate_within_3_sigma():

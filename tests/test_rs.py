@@ -47,8 +47,14 @@ def test_parity_matches_fixture_vectors():
     assert n_cases >= 10
 
 
-@pytest.mark.parametrize("s,r,k_symbols", [(3, 2, 4), (4, 2, 10), (4, 4, 9),
-                                           (5, 2, 20), (8, 2, 28), (8, 4, 40)])
+# Every symbol size with r in {2, 4, 8} where the code fits, at short k, plus
+# longer words at a few geometries.
+ORACLE_GEOMETRIES = [(s, r, min(6, (1 << s) - 1 - r)) for s in range(2, 13)
+                     for r in (2, 4, 8) if r <= (1 << s) - 2]
+ORACLE_GEOMETRIES += [(3, 2, 4), (4, 2, 10), (4, 4, 9), (5, 2, 20), (8, 2, 28), (8, 4, 40)]
+
+
+@pytest.mark.parametrize("s,r,k_symbols", ORACLE_GEOMETRIES)
 def test_encode_matches_longdiv_oracle(s, r, k_symbols, rng):
     codec = ReedSolomonCodec(s, r)
     data = rng.integers(0, 1 << s, (20, k_symbols))
