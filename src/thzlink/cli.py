@@ -4,7 +4,7 @@ import argparse
 import os
 import sys
 
-from .config import SpecError, build_spec, env_overrides, parse_pairs
+from .config import SpecError, load_spec
 from .control import OptimizerParams, optimize_for_distance
 from .modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable
 from .sim import run_simulation
@@ -66,14 +66,6 @@ def _cmd_gen_table(args) -> int:
 
 def _cmd_run(args) -> int:
     pairs: dict[str, str] = {}
-    if args.spec:
-        try:
-            with open(args.spec) as fh:
-                pairs = parse_pairs(fh.read(), source=args.spec)
-        except OSError as exc:
-            print(f"error: cannot read spec file: {exc}", file=sys.stderr)
-            return 2
-    pairs.update(env_overrides())
     if args.table is not None:
         pairs["table_path"] = args.table
     if args.seed is not None:
@@ -81,10 +73,15 @@ def _cmd_run(args) -> int:
     if args.duration is not None:
         pairs["duration_s"] = str(args.duration)
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
         pairs["metrics_path"] = os.path.join(args.out, "metrics.csv")
         pairs["events_path"] = os.path.join(args.out, "events.log")
-    spec = build_spec(pairs)
+    try:
+        spec = load_spec(args.spec or None, pairs)
+    except OSError as exc:
+        print(f"error: cannot read spec file: {exc}", file=sys.stderr)
+        return 2
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
     try:
         table = BerTable.from_csv(spec.table_path)
     except OSError as exc:

@@ -10,7 +10,7 @@ e.g. ``THZLINK_SEED=9`` or ``THZLINK_EPSILON__16QAM=1e-6``.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .control import DEFAULT_EPSILON, OptimizerParams
 from .modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, Modulation
@@ -37,7 +37,11 @@ def _mod_key(mod: Modulation) -> str:
 
 @dataclass
 class RunSpec:
-    """Everything a simulation run needs; defaults match the evaluation setup."""
+    """Everything a simulation run needs; defaults match the evaluation setup.
+
+    A spec checks its values when it is built, in code or from a file, and
+    raises `SpecError` naming the key of the first bad one.
+    """
 
     table_path: str
     seed: int = 1
@@ -61,47 +65,43 @@ class RunSpec:
     metrics_path: str = "metrics.csv"
     events_path: str = "events.log"
 
+    def __post_init__(self) -> None:
+        _validate(self)
+
     def optimizer_params(self) -> OptimizerParams:
         return OptimizerParams(t_mdpc=self.t_mdpc, t_rs=self.t_rs,
                                s_min=self.s_min, s_max=self.s_max,
                                m_max=self.m_max)
 
 
-_SCALAR_KEYS = {
-    "table_path": str,
-    "seed": int,
-    "duration_s": float,
-    "update_interval_s": float,
-    "buffer_size": int,
-    "t_mdpc": int,
-    "t_rs": int,
-    "s_min": int,
-    "s_max": int,
-    "m_max": int,
-    "mdpc_max_iterations": int,
-    "generations_per_interval": int,
-    "ber_estimator": str,
-    "metrics_path": str,
-    "events_path": str,
-}
+_FIELDS = {f.name: f for f in fields(RunSpec)}
 
-_MAP_KEYS = {"epsilon": "epsilon", "rate_gbps": "rate_gbps"}
+
+def _key_types() -> dict:
+    """Every spec key and the type of its value, in field order.
+
+    A dict field is a per-modulation map: it gives one float key per
+    modulation, e.g. ``epsilon.16qam``.
+    """
+    types = {}
+    for f in _FIELDS.values():
+        if f.type is dict:
+            types.update((f"{f.name}.{_mod_key(mod)}", float) for mod in MODULATIONS)
+        else:
+            types[f.name] = f.type
+    return types
+
+
+_KEY_TYPES = _key_types()
 
 
 def known_keys() -> list[str]:
-    keys = list(_SCALAR_KEYS)
-    for prefix in _MAP_KEYS:
-        keys.extend(f"{prefix}.{_mod_key(mod)}" for mod in MODULATIONS)
-    return keys
+    return list(_KEY_TYPES)
 
 
 def _coerce(key: str, raw: str):
-    if key in _SCALAR_KEYS:
-        typ = _SCALAR_KEYS[key]
-    else:
-        typ = float
     try:
-        return typ(raw) if typ is not str else raw
+        return _KEY_TYPES[key](raw)
     except ValueError as exc:
         raise SpecError(f"invalid value for {key}: {raw!r}") from exc
 
@@ -127,13 +127,12 @@ def parse_pairs(text: str, source: str = "<config>") -> dict:
 def env_overrides(environ=None) -> dict:
     """Spec overrides taken from THZLINK_* environment variables."""
     environ = os.environ if environ is None else environ
-    known = set(known_keys())
     out = {}
     for name, value in environ.items():
         if not name.startswith(ENV_PREFIX):
             continue
         key = name[len(ENV_PREFIX):].lower().replace("__", ".")
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise SpecError(f"unknown key in environment override {name}")
         out[key] = value
     return out
@@ -141,32 +140,20 @@ def env_overrides(environ=None) -> dict:
 
 def build_spec(pairs: dict) -> RunSpec:
     """Validate raw key/value pairs and produce a RunSpec."""
-    known = set(known_keys())
-    for key in pairs:
-        if key not in known:
-            raise SpecError(f"unknown key: {key}")
-    if "table_path" not in pairs or not pairs["table_path"]:
-        raise SpecError("missing required key: table_path")
-
     kwargs = {}
     for key, raw in pairs.items():
-        if key in _SCALAR_KEYS:
-            kwargs[key] = _coerce(key, raw)
-    epsilon = dict(DEFAULT_EPSILON)
-    rates = dict(DEFAULT_DATA_RATES_GBPS)
-    for key, raw in pairs.items():
-        if "." not in key:
-            continue
-        prefix, _, mod_label = key.partition(".")
-        mod = Modulation.from_label(mod_label)
+        if key not in _KEY_TYPES:
+            raise SpecError(f"unknown key: {key}")
         value = _coerce(key, raw)
-        if prefix == "epsilon":
-            epsilon[mod] = value
+        name, dot, label = key.partition(".")
+        if dot:
+            kwargs.setdefault(name, _FIELDS[name].default_factory())[
+                Modulation.from_label(label)] = value
         else:
-            rates[mod] = value
-    spec = RunSpec(epsilon=epsilon, rate_gbps=rates, **kwargs)
-    _validate(spec)
-    return spec
+            kwargs[name] = value
+    if not kwargs.get("table_path"):
+        raise SpecError("missing required key: table_path")
+    return RunSpec(**kwargs)
 
 
 def _validate(spec: RunSpec) -> None:
@@ -213,10 +200,12 @@ def parse_spec(text: str, source: str = "<config>") -> RunSpec:
     return build_spec(parse_pairs(text, source))
 
 
-def load_spec(path, extra_pairs: dict | None = None, environ=None) -> RunSpec:
-    """Load a spec file, then apply environment and explicit overrides."""
-    with open(path) as fh:
-        pairs = parse_pairs(fh.read(), source=str(path))
+def load_spec(path=None, extra_pairs: dict | None = None, environ=None) -> RunSpec:
+    """Load a spec file, if any, then apply environment and explicit overrides."""
+    pairs = {}
+    if path is not None:
+        with open(path) as fh:
+            pairs = parse_pairs(fh.read(), source=str(path))
     pairs.update(env_overrides(environ))
     if extra_pairs:
         pairs.update(extra_pairs)
@@ -226,10 +215,10 @@ def load_spec(path, extra_pairs: dict | None = None, environ=None) -> RunSpec:
 def emit_spec(spec: RunSpec) -> str:
     """Serialize a RunSpec back into the flat key-value format."""
     lines = []
-    for key in _SCALAR_KEYS:
-        lines.append(f"{key} = {getattr(spec, key)}")
-    for mod in MODULATIONS:
-        lines.append(f"epsilon.{_mod_key(mod)} = {spec.epsilon[mod]!r}")
-    for mod in MODULATIONS:
-        lines.append(f"rate_gbps.{_mod_key(mod)} = {spec.rate_gbps[mod]!r}")
+    for key in _KEY_TYPES:
+        name, _, label = key.partition(".")
+        value = getattr(spec, name)
+        if label:
+            value = value[Modulation.from_label(label)]
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

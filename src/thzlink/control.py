@@ -138,6 +138,8 @@ def estimate_distance(ber_m: float, mod: Modulation, table: BerTable) -> float:
     Ties are broken toward the larger distance: assuming the worse channel
     keeps the downstream error-budget constraints satisfied.
     """
+    if not math.isfinite(ber_m):
+        raise ValueError(f"measured BER must be finite, got {ber_m!r}")
     col = table.column(mod)
     diffs = np.abs(col - ber_m)
     hits = np.nonzero(diffs == diffs.min())[0]

@@ -10,7 +10,7 @@ segment; every interval additionally appends a row to the event log.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,53 +130,40 @@ def write_metrics_csv(path, records) -> None:
 
 
 @dataclass
-class IntervalStats:
-    ber_m: float
-    sent: int
-    error_free: int
-    corrected: int
-    failed: int
-    wrong_data_bits: int
-    data_bits: int
+class Outcomes:
+    """Generation outcome counts of one interval, or summed over a dwell."""
+
+    sent: int = 0
+    error_free: int = 0
+    corrected: int = 0
+    failed: int = 0
+    wrong_bits: int = 0
+    data_bits: int = 0
+
+    def add(self, other: "Outcomes") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-class _DwellAccumulator:
-    def __init__(self, t0: float, distance: float):
-        self.t0 = t0
-        self.distance = distance
-        self.sent = 0
-        self.error_free = 0
-        self.corrected = 0
-        self.failed = 0
-        self.wrong_bits = 0
-        self.data_bits = 0
-
-    def add(self, stats: IntervalStats) -> None:
-        self.sent += stats.sent
-        self.error_free += stats.error_free
-        self.corrected += stats.corrected
-        self.failed += stats.failed
-        self.wrong_bits += stats.wrong_data_bits
-        self.data_bits += stats.data_bits
-
-    def to_record(self, config: LinkConfig) -> MetricsRecord:
-        p_re = self.wrong_bits / self.data_bits if self.data_bits else 0.0
-        return MetricsRecord(
-            time_s=self.t0,
-            distance_m=self.distance,
-            scheme=config.scheme,
-            modulation=config.modulation.label,
-            k_bits=config.k_bits,
-            r_bits=config.r_bits,
-            code_rate=config.code_rate,
-            overhead=config.overhead,
-            th_theoretical_gbps=config.throughput_gbps,
-            p_re_empirical=p_re,
-            generations_sent=self.sent,
-            generations_error_free=self.error_free,
-            generations_corrected=self.corrected,
-            generations_failed=self.failed,
-        )
+def _dwell_record(phase: TracePhase, outcomes: Outcomes,
+                  config: LinkConfig) -> MetricsRecord:
+    p_re = outcomes.wrong_bits / outcomes.data_bits if outcomes.data_bits else 0.0
+    return MetricsRecord(
+        time_s=phase.t0,
+        distance_m=phase.d0,
+        scheme=config.scheme,
+        modulation=config.modulation.label,
+        k_bits=config.k_bits,
+        r_bits=config.r_bits,
+        code_rate=config.code_rate,
+        overhead=config.overhead,
+        th_theoretical_gbps=config.throughput_gbps,
+        p_re_empirical=p_re,
+        generations_sent=outcomes.sent,
+        generations_error_free=outcomes.error_free,
+        generations_corrected=outcomes.corrected,
+        generations_failed=outcomes.failed,
+    )
 
 
 def _build_codec(config: LinkConfig, mdpc_max_iterations: int):
@@ -189,20 +176,23 @@ def _build_codec(config: LinkConfig, mdpc_max_iterations: int):
 def _deliver(codec, data: np.ndarray, channel) -> tuple:
     """Encode a (B, K) data block, pass its coded bits through `channel`, decode.
 
-    Returns (sent units, received units, decoded data bits, ok flags,
+    Returns (sent units, received units, wrong data bits per row, ok flags,
     changed flags). Units are what the correction budget counts: symbols
     for RS, bits for MDPC. A row is changed when the decoder corrected it.
+    RS words start with their data symbols, so the wrong bits are counted
+    on the symbols and the decoded data is never unpacked.
     """
     sent = codec.encode_batch(data)
     if isinstance(codec, ReedSolomonCodec):
         s = codec.s
         received = bits_to_symbols(channel(symbols_to_bits(sent, s)), s)
         out, counts, ok = codec.decode_symbols_batch(received)
-        decoded = symbols_to_bits(out[:, : data.shape[-1] // s], s)
-        return sent, received, decoded, ok, counts > 0
+        k = data.shape[-1] // s
+        wrong = np.bitwise_count(out[:, :k] ^ sent[:, :k]).sum(axis=1)
+        return sent, received, wrong, ok, counts > 0
     received = channel(sent)
     decoded, _, flips, ok = codec.decode_batch(received)
-    return sent, received, decoded, ok, flips > 0
+    return sent, received, np.count_nonzero(decoded != data, axis=1), ok, flips > 0
 
 
 class LinkSimulation:
@@ -239,7 +229,8 @@ class LinkSimulation:
             self._codecs[key] = codec
         return codec
 
-    def _transmit_interval(self, distance_m: float) -> IntervalStats:
+    def _transmit_interval(self, distance_m: float) -> tuple:
+        """Carry one interval's generations; returns (ber_m, outcomes)."""
         config = self.active_config
         p_e = self.table.lookup(distance_m, config.modulation)
         batch = self.spec.generations_per_interval
@@ -249,17 +240,19 @@ class LinkSimulation:
         ber_m = p_e if self.spec.ber_estimator == "exact" else float(flip_mask.mean())
         if not flip_mask.any():
             # Nothing flipped this interval: every generation arrives clean.
-            return IntervalStats(ber_m, batch, batch, 0, 0, 0, batch * k)
+            return ber_m, Outcomes(sent=batch, error_free=batch, data_bits=batch * k)
 
         data = self.rng_data.integers(0, 2, size=(batch, k), dtype=np.uint8)
-        _, _, decoded, ok, changed = _deliver(self._codec_for(config), data,
-                                             lambda bits: bits ^ flip_mask)
-        error_free = int(np.count_nonzero(ok & ~changed))
-        corrected = int(np.count_nonzero(ok & changed))
-        failed = int(np.count_nonzero(~ok))
-        wrong_bits = int(np.count_nonzero(decoded != data))
-        return IntervalStats(ber_m, batch, error_free, corrected, failed,
-                             wrong_bits, batch * k)
+        _, _, wrong, ok, changed = _deliver(self._codec_for(config), data,
+                                            lambda bits: bits ^ flip_mask)
+        return ber_m, Outcomes(
+            sent=batch,
+            error_free=int(np.count_nonzero(ok & ~changed)),
+            corrected=int(np.count_nonzero(ok & changed)),
+            failed=int(np.count_nonzero(~ok)),
+            wrong_bits=int(wrong.sum()),
+            data_bits=batch * k,
+        )
 
     def run(self, metrics_path=None, events_path=None) -> list:
         spec = self.spec
@@ -273,7 +266,8 @@ class LinkSimulation:
                 events.write(f"{now:g},{event},{detail}\n")
 
         phase_idx = -1
-        dwell: _DwellAccumulator | None = None
+        # The open dwell's phase and its running outcome counts.
+        dwell: tuple[TracePhase, Outcomes] | None = None
         try:
             for i in range(n_intervals):
                 now = i * dt
@@ -287,29 +281,29 @@ class LinkSimulation:
                     phase_idx = new_idx
                     phase = self.trace.phases[phase_idx]
                     if dwell is not None:
-                        records.append(dwell.to_record(self.active_config))
+                        records.append(_dwell_record(*dwell, self.active_config))
                         dwell = None
                     if phase.kind == "dwell":
-                        dwell = _DwellAccumulator(phase.t0, phase.d0)
+                        dwell = (phase, Outcomes())
                         log(now, "dwell_start", f"d={phase.d0:g}")
                     else:
                         log(now, "walk_start", f"d0={phase.d0:g};d1={phase.d1:g}")
                 phase = self.trace.phases[phase_idx]
                 distance = phase.distance_at(now)
-                stats = self._transmit_interval(distance)
+                ber_m, outcomes = self._transmit_interval(distance)
                 if dwell is not None:
-                    dwell.add(stats)
-                action = self.controller.on_ber_update(BerMessage(stats.ber_m, now))
+                    dwell[1].add(outcomes)
+                action = self.controller.on_ber_update(BerMessage(ber_m, now))
                 self.interval_log.append((now, self.active_config.describe(),
                                           action.kind))
                 if action.kind == "config":
                     self._pending = action.config
                     log(now, "config",
-                        f"{action.config.describe()};ber_m={stats.ber_m!r}")
+                        f"{action.config.describe()};ber_m={ber_m!r}")
                 else:
-                    log(now, action.kind, f"ber_m={stats.ber_m!r};d={distance:g}")
+                    log(now, action.kind, f"ber_m={ber_m!r};d={distance:g}")
             if dwell is not None:
-                records.append(dwell.to_record(self.active_config))
+                records.append(_dwell_record(*dwell, self.active_config))
         finally:
             if events is not None:
                 events.close()
@@ -390,9 +384,9 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     while done < generations:
         batch = min(batch_size, generations - done)
         data = rng_data.integers(0, 2, size=(batch, k), dtype=np.uint8)
-        sent, received, decoded, _, _ = _deliver(codec, data, channel)
+        sent, received, wrong_bits, _, _ = _deliver(codec, data, channel)
         injected = np.count_nonzero(received != sent, axis=1)
-        wrong = np.any(decoded != data, axis=1)
+        wrong = wrong_bits > 0
         within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
         exceed += int(np.count_nonzero(injected > t_budget))
         failures += int(np.count_nonzero(wrong))

@@ -105,6 +105,14 @@ def test_unbounded_generation_count_names_the_keys(interval):
         assert key in str(err.value)
 
 
+def test_spec_built_in_code_is_validated():
+    # Built only, never run: the spec asks for ~1.2e304 generations.
+    with pytest.raises(SpecError) as err:
+        RunSpec(table_path="t.csv", update_interval_s=1e-300)
+    for key in ("duration_s", "update_interval_s", "generations_per_interval"):
+        assert key in str(err.value)
+
+
 def test_env_overrides():
     environ = {f"{ENV_PREFIX}SEED": "77",
                f"{ENV_PREFIX}EPSILON__16QAM": "1.5e-4",

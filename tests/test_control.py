@@ -40,6 +40,14 @@ def test_estimate_distance_tie_goes_to_larger_distance():
     assert estimate_distance(0.49, Modulation.QAM16, table) == 6.0
 
 
+@pytest.mark.parametrize("ber_m", [float("nan"), float("inf"), float("-inf")])
+def test_estimate_distance_rejects_non_finite(default_table, ber_m):
+    # NaN matched no row and raised IndexError; +inf matched the largest
+    # distance without complaint.
+    with pytest.raises(ValueError, match=repr(ber_m)):
+        estimate_distance(ber_m, Modulation.BPSK, default_table)
+
+
 # -- MDPC candidates ----------------------------------------------------------
 
 

@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 
 from thzlink.config import RunSpec
 from thzlink.control import initial_link_config, optimize_for_distance, OptimizerParams
+from thzlink.mdpc import MdpcCodec
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation
+from thzlink.rs import ReedSolomonCodec, symbols_to_bits
 from thzlink.sim import (DISTANCE_GRID_M, DWELL_CHOICES_S, LinkSimulation,
-                         MobilityTrace, TracePhase, binomial_tail_above,
+                         MobilityTrace, TracePhase, _deliver, binomial_tail_above,
                          generate_trace, residual_error_experiment,
                          run_simulation)
 
@@ -176,11 +179,11 @@ def test_run_is_deterministic_to_the_byte(default_table, table_csv, tmp_path):
 def test_sampled_estimator_reports_measured_ber(default_table, table_csv):
     spec = spec_for(table_csv, duration_s=10.0, ber_estimator="sampled")
     sim = LinkSimulation(spec, default_table, trace=stationary_trace(19.0, 10.0))
-    stats = sim._transmit_interval(19.0)
+    ber_m, stats = sim._transmit_interval(19.0)
     p_e = default_table.lookup(19.0, Modulation.QAM16)
     n_bits = spec.generations_per_interval * 240
     sigma = (p_e * (1 - p_e) / n_bits) ** 0.5
-    assert abs(stats.ber_m - p_e) < 5 * sigma
+    assert abs(ber_m - p_e) < 5 * sigma
     assert stats.sent == spec.generations_per_interval
     assert (stats.error_free + stats.corrected + stats.failed) == stats.sent
 
@@ -188,8 +191,8 @@ def test_sampled_estimator_reports_measured_ber(default_table, table_csv):
 def test_exact_estimator_reports_table_value(default_table, table_csv):
     spec = spec_for(table_csv, duration_s=10.0, ber_estimator="exact")
     sim = LinkSimulation(spec, default_table, trace=stationary_trace(19.0, 10.0))
-    stats = sim._transmit_interval(19.0)
-    assert stats.ber_m == default_table.lookup(19.0, Modulation.QAM16)
+    ber_m, _ = sim._transmit_interval(19.0)
+    assert ber_m == default_table.lookup(19.0, Modulation.QAM16)
 
 
 def test_metrics_csv_columns(default_table, table_csv, tmp_path):
@@ -241,6 +244,42 @@ def test_mdpc_configuration_runs_in_the_loop(default_table, table_csv):
 
 
 # -- fault-tolerance experiment ----------------------------------------------
+
+
+def _codec_id(codec):
+    if isinstance(codec, ReedSolomonCodec):
+        return f"rs-s{codec.s}-r{codec.r_symbols}"
+    return f"mdpc-n{codec.n}"
+
+
+@pytest.mark.parametrize("codec", [
+    *[ReedSolomonCodec(s, r) for s in (4, 8, 12) for r in (2, 4)],
+    *[MdpcCodec(3, n) for n in (2, 3)],
+], ids=_codec_id)
+def test_deliver_counts_wrong_data_bits(codec):
+    rs = isinstance(codec, ReedSolomonCodec)
+    k_bits = 6 * codec.s if rs else codec.k_bits
+    rng = np.random.default_rng(11)
+    batch = 300
+    data = rng.integers(0, 2, size=(batch, k_bits), dtype=np.uint8)
+    # Row i gets i % (2t + 4) flipped bits: clean, correctable and
+    # beyond-t rows in every block.
+    flips = np.arange(batch) % (2 * codec.t + 4)
+
+    def channel(bits):
+        out = bits.copy()
+        for row, count in enumerate(flips):
+            out[row, rng.choice(bits.shape[1], size=count, replace=False)] ^= 1
+        return out
+
+    _, received, wrong, ok, _ = _deliver(codec, data, channel)
+    if rs:
+        out, _, _ = codec.decode_symbols_batch(received)
+        decoded = symbols_to_bits(out[:, : k_bits // codec.s], codec.s)
+    else:
+        decoded = codec.decode_batch(received)[0]
+    assert np.array_equal(wrong, np.count_nonzero(decoded != data, axis=1))
+    assert not ok.all() and wrong.any()
 
 
 def test_binomial_tail():
