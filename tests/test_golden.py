@@ -14,7 +14,7 @@ from thzlink.config import RunSpec
 from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, Modulation
 from thzlink.sim import (DISTANCE_GRID_M, LinkSimulation, generate_trace,
-                         residual_error_experiment)
+                         residual_error_experiment, run_simulation)
 
 
 def sha256(path) -> str:
@@ -43,6 +43,30 @@ def test_lossy_t2_run_outputs_are_golden(default_table, tmp_path):
         "df4153ac037769921ee48f6c7df7e871b63000d5fa56c4d17c9c13d3c49cd295")
     assert sha256(spec.events_path) == (
         "e12d3db3a335eb73474a5f91d7e60c9bf70f094e3646fab3d6562b3d48d4f791")
+
+
+def _run_hashes(table, tmp_path, **spec_fields) -> tuple:
+    spec = RunSpec(table_path="unused",
+                   metrics_path=str(tmp_path / "metrics.csv"),
+                   events_path=str(tmp_path / "events.log"), **spec_fields)
+    run_simulation(spec, table)
+    return sha256(spec.metrics_path), sha256(spec.events_path)
+
+
+def test_seed_1_default_run_outputs_are_golden(default_table, tmp_path):
+    # The default 6060 s spec on its own seed-1 trace.
+    assert _run_hashes(default_table, tmp_path, seed=1) == (
+        "0dd711eb8e3b1a3f472e1bc504195ac35a502169c9f731b5498fdf66de2ca741",
+        "5e2dc621c2bdad639f276f1362655eae925d36ca518e917e692c8648c5a9e6b9")
+
+
+def test_sampled_estimator_run_outputs_are_golden(default_table, tmp_path):
+    # The event log holds repr(ber_m) of all 600 intervals, so it pins every
+    # flip mask's mean, not only the decoder outcomes.
+    assert _run_hashes(default_table, tmp_path, seed=1, duration_s=300.0,
+                       ber_estimator="sampled") == (
+        "7f02dad60c720f8361db40ba840f34ca5fbe8983da42da714090796c34471bf7",
+        "9ac9bbfef458964222ffd563d5dd22874f8d3988c8187c46939317c09f72f695")
 
 
 def _rs_config(s, r):
