@@ -8,8 +8,11 @@ the ``THZLINK_`` prefix (dots become double underscores, case-insensitive),
 e.g. ``THZLINK_SEED=9`` or ``THZLINK_EPSILON__16QAM=1e-6``.
 """
 
+import functools
 import math
 import os
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 from .control import DEFAULT_EPSILON, OptimizerParams
@@ -35,12 +38,14 @@ def _mod_key(mod: Modulation) -> str:
     return mod.label.lower()
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
     """Everything a simulation run needs; defaults match the evaluation setup.
 
     A spec checks its values when it is built, in code or from a file, and
-    raises `SpecError` naming the key of the first bad one.
+    raises `SpecError` naming the key of the first bad one. It is immutable
+    afterwards, its per-modulation maps included (read-only copies), so no
+    value can skip the checks; `dataclasses.replace` builds a checked copy.
     """
 
     table_path: str
@@ -48,10 +53,10 @@ class RunSpec:
     duration_s: float = 6060.0
     update_interval_s: float = 0.5
     buffer_size: int = 4
-    epsilon: dict = field(default_factory=lambda: dict(DEFAULT_EPSILON))
+    epsilon: Mapping = field(default_factory=lambda: dict(DEFAULT_EPSILON))
     t_mdpc: int = 1
     t_rs: int = 1
-    rate_gbps: dict = field(default_factory=lambda: dict(DEFAULT_DATA_RATES_GBPS))
+    rate_gbps: Mapping = field(default_factory=lambda: dict(DEFAULT_DATA_RATES_GBPS))
     s_min: int = 3
     s_max: int = 12
     m_max: int = 1024
@@ -66,7 +71,17 @@ class RunSpec:
     events_path: str = "events.log"
 
     def __post_init__(self) -> None:
+        for name in _MAP_NAMES:
+            object.__setattr__(self, name,
+                               types.MappingProxyType(dict(getattr(self, name))))
         _validate(self)
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled or deep-copied, so a spec is
+        # rebuilt (and checked again) from plain dicts.
+        values = {name: getattr(self, name) for name in _FIELDS}
+        values.update((name, dict(values[name])) for name in _MAP_NAMES)
+        return functools.partial(RunSpec, **values), ()
 
     def optimizer_params(self) -> OptimizerParams:
         return OptimizerParams(t_mdpc=self.t_mdpc, t_rs=self.t_rs,
@@ -75,21 +90,22 @@ class RunSpec:
 
 
 _FIELDS = {f.name: f for f in fields(RunSpec)}
+# The per-modulation maps.
+_MAP_NAMES = [name for name, f in _FIELDS.items() if f.type is Mapping]
 
 
 def _key_types() -> dict:
     """Every spec key and the type of its value, in field order.
 
-    A dict field is a per-modulation map: it gives one float key per
-    modulation, e.g. ``epsilon.16qam``.
+    A map field gives one float key per modulation, e.g. ``epsilon.16qam``.
     """
-    types = {}
+    key_types = {}
     for f in _FIELDS.values():
-        if f.type is dict:
-            types.update((f"{f.name}.{_mod_key(mod)}", float) for mod in MODULATIONS)
+        if f.name in _MAP_NAMES:
+            key_types.update((f"{f.name}.{_mod_key(mod)}", float) for mod in MODULATIONS)
         else:
-            types[f.name] = f.type
-    return types
+            key_types[f.name] = f.type
+    return key_types
 
 
 _KEY_TYPES = _key_types()
@@ -192,8 +208,11 @@ def _validate(spec: RunSpec) -> None:
     if spec.ber_estimator not in BER_ESTIMATORS:
         bad("ber_estimator", f"must be one of {', '.join(BER_ESTIMATORS)}")
     for mod in MODULATIONS:
-        positive(f"epsilon.{_mod_key(mod)}", spec.epsilon[mod])
-        positive(f"rate_gbps.{_mod_key(mod)}", spec.rate_gbps[mod])
+        for name in _MAP_NAMES:
+            key = f"{name}.{_mod_key(mod)}"
+            if mod not in getattr(spec, name):
+                bad(key, "missing")
+            positive(key, getattr(spec, name)[mod])
 
 
 def parse_spec(text: str, source: str = "<config>") -> RunSpec:

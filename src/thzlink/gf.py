@@ -42,7 +42,9 @@ class GF:
         # exp runs through the cycle twice, so a sum of two real logs never
         # needs a mod.
         zero_log = 2 * (q - 1)
-        exp = np.zeros(2 * zero_log + 1, dtype=np.int64)
+        # exp is uint16 (s <= 12), so a table product is 2 bytes per element;
+        # log stays int64, so sums of logs cannot wrap.
+        exp = np.zeros(2 * zero_log + 1, dtype=np.uint16)
         log = np.full(q, zero_log, dtype=np.int64)
         x = 1
         for i in range(q - 1):

@@ -137,6 +137,10 @@ def symbol_error_prob(p_e: float, s: int) -> float:
 # plus positions instead of a dense Bernoulli field (identical distribution).
 SPARSE_FLIP_THRESHOLD = 64.0
 
+# A dense flip mask is drawn this many uniforms at a time through one reused
+# float64 buffer (128 KiB, cache-sized), not as one float64 field of its size.
+FLIP_CHUNK = 1 << 14
+
 
 def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
     """Bit-flip indicator array for a BSC with crossover probability p_e."""
@@ -151,7 +155,17 @@ def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
         if count:
             mask[rng.choice(size, size=count, replace=False)] = 1
         return mask.reshape(shape)
-    return (rng.random(shape) < p_e).astype(np.uint8)
+    # Generator.random draws one 64-bit output per value and buffers none, so
+    # the chunks give the values, and leave the generator in the state, of
+    # one rng.random(size) call.
+    mask = np.empty(shape, dtype=np.uint8)
+    flat = mask.reshape(-1).view(bool)
+    buf = np.empty(min(size, FLIP_CHUNK))
+    for lo in range(0, size, FLIP_CHUNK):
+        chunk = buf[: min(FLIP_CHUNK, size - lo)]
+        rng.random(out=chunk)
+        np.less(chunk, p_e, out=flat[lo:lo + chunk.size])
+    return mask
 
 
 def transmit(bits: np.ndarray, p_e: float, rng: np.random.Generator) -> np.ndarray:

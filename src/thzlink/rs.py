@@ -15,30 +15,70 @@ correction and re-verification. Single-error-correcting codes (r == 2) skip
 the staged pipeline for a closed form.
 """
 
+import math
+
 import numpy as np
 
 from .gf import get_field
 
 
+def _group_layout(s: int) -> tuple:
+    """Byte layout of the shortest run of whole symbols that fills whole bytes.
+
+    A group holds 8/g symbols in s/g bytes, g = gcd(s, 8). Returns the byte
+    count and, for each symbol slot, its first and last byte and the number
+    of bits that follow it in its last byte. A slot spans at most three
+    bytes, since s <= 16.
+    """
+    if not 1 <= s <= 16:
+        raise ValueError(f"symbol size s={s} outside 1..16")
+    g = math.gcd(s, 8)
+    return s // g, [(i * s // 8, ((i + 1) * s - 1) // 8, -(i + 1) * s % 8)
+                    for i in range(8 // g)]
+
+
 def bits_to_symbols(bits: np.ndarray, s: int) -> np.ndarray:
-    """Pack a bit array (MSB first within each symbol) into s-bit symbols."""
+    """Pack a bit array (MSB first within each symbol) into s-bit symbols.
+
+    The bits are packed into bytes as one stream (np.packbits); each symbol
+    slot of a group is then read out of its bytes for all groups at once.
+    """
     bits = np.asarray(bits)
+    group_bytes, slots = _group_layout(s)
     if bits.shape[-1] % s != 0:
         raise ValueError(f"bit length {bits.shape[-1]} not divisible by s={s}")
-    shaped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // s, s))
-    out = np.zeros(shaped.shape[:-1], dtype=np.int64)
-    for i in range(s):
-        out <<= 1
-        out |= shaped[..., i]
-    return out
+    count = bits.size // s
+    packed = np.zeros((-(-count // len(slots)), group_bytes), dtype=np.uint8)
+    packed.reshape(-1)[: -(-bits.size // 8)] = np.packbits(bits.reshape(-1))
+    out = np.empty((packed.shape[0], len(slots)), dtype=np.int64)
+    for i, (first, last, shift) in enumerate(slots):
+        acc = packed[:, first].astype(np.uint32)
+        for b in range(first + 1, last + 1):
+            acc <<= 8
+            acc |= packed[:, b]
+        out[:, i] = (acc >> shift) & ((1 << s) - 1)
+    return out.reshape(-1)[:count].reshape(bits.shape[:-1] + (bits.shape[-1] // s,))
 
 
 def symbols_to_bits(symbols: np.ndarray, s: int) -> np.ndarray:
-    """Unpack s-bit symbols into a bit array (MSB first)."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    bits = np.empty(symbols.shape + (s,), dtype=np.uint8)
-    for i in range(s):
-        bits[..., i] = (symbols >> (s - 1 - i)) & 1
+    """Unpack s-bit symbols into a bit array (MSB first).
+
+    The inverse of `bits_to_symbols`: each symbol slot is written into the
+    bytes of its group, and the byte stream is unpacked (np.unpackbits).
+    """
+    symbols = np.asarray(symbols)
+    group_bytes, slots = _group_layout(s)
+    count = symbols.size
+    words = np.zeros((-(-count // len(slots)), len(slots)), dtype=np.uint32)
+    words.reshape(-1)[:count] = symbols.reshape(-1)
+    packed = np.zeros((words.shape[0], group_bytes), dtype=np.uint8)
+    for i, (first, last, shift) in enumerate(slots):
+        word = words[:, i] << shift
+        for b in range(last, first - 1, -1):
+            # The unsafe cast keeps the low byte.
+            np.bitwise_or(packed[:, b], word, out=packed[:, b], casting="unsafe")
+            word >>= 8
+    bits = np.unpackbits(packed.reshape(-1), count=count * s)
     return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * s,))
 
 

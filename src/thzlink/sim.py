@@ -173,6 +173,16 @@ def _build_codec(config: LinkConfig, mdpc_max_iterations: int):
     return MdpcCodec(config.m, config.n, max_iterations=mdpc_max_iterations)
 
 
+def _payload(rng: np.random.Generator, batch: int, k: int) -> np.ndarray:
+    """A (batch, k) block of fair iid data bits, drawn as bytes.
+
+    Both codes are linear and both decoders see a word only through its
+    syndromes or parities, so no output depends on which bits are drawn.
+    """
+    return np.unpackbits(rng.integers(0, 256, (batch, -(-k // 8)), dtype=np.uint8),
+                         axis=1, count=k)
+
+
 def _deliver(codec, data: np.ndarray, channel) -> tuple:
     """Encode a (B, K) data block, pass its coded bits through `channel`, decode.
 
@@ -242,7 +252,7 @@ class LinkSimulation:
             # Nothing flipped this interval: every generation arrives clean.
             return ber_m, Outcomes(sent=batch, error_free=batch, data_bits=batch * k)
 
-        data = self.rng_data.integers(0, 2, size=(batch, k), dtype=np.uint8)
+        data = _payload(self.rng_data, batch, k)
         _, _, wrong, ok, changed = _deliver(self._codec_for(config), data,
                                             lambda bits: bits ^ flip_mask)
         return ber_m, Outcomes(
@@ -383,7 +393,7 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     done = 0
     while done < generations:
         batch = min(batch_size, generations - done)
-        data = rng_data.integers(0, 2, size=(batch, k), dtype=np.uint8)
+        data = _payload(rng_data, batch, k)
         sent, received, wrong_bits, _, _ = _deliver(codec, data, channel)
         injected = np.count_nonzero(received != sent, axis=1)
         wrong = wrong_bits > 0

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from thzlink.config import (ENV_PREFIX, RunSpec, SpecError, build_spec,
@@ -111,6 +115,29 @@ def test_spec_built_in_code_is_validated():
         RunSpec(table_path="t.csv", update_interval_s=1e-300)
     for key in ("duration_s", "update_interval_s", "generations_per_interval"):
         assert key in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["epsilon", "rate_gbps"])
+def test_partial_map_built_in_code_names_the_missing_key(name):
+    with pytest.raises(SpecError, match=f"{name}\\.qpsk"):
+        RunSpec(table_path="t.csv", **{name: {Modulation.BPSK: 1e-6}})
+
+
+def test_spec_is_immutable_after_checks():
+    spec = RunSpec(table_path="t.csv")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.update_interval_s = 1e-300
+    with pytest.raises(TypeError):
+        spec.epsilon[Modulation.BPSK] = float("nan")
+    with pytest.raises(TypeError):
+        spec.rate_gbps[Modulation.BPSK] = 0.0
+    with pytest.raises(SpecError, match="update_interval_s"):
+        dataclasses.replace(spec, update_interval_s=1e-300)
+    with pytest.raises(SpecError, match="epsilon\\.bpsk"):
+        dataclasses.replace(spec, epsilon={**spec.epsilon, Modulation.BPSK: -1.0})
+    # Read-only maps still pickle and deep-copy, as the plain dicts did.
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert copy.deepcopy(spec) == spec
 
 
 def test_env_overrides():

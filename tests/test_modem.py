@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable,
-                           Modulation, sample_flip_mask, symbol_error_prob,
-                           transmit)
+from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, FLIP_CHUNK, MODULATIONS,
+                           BerTable, Modulation, sample_flip_mask,
+                           symbol_error_prob, transmit)
 
 
 def make_table(values_by_mod=None, distances=(1.0, 2.0, 3.0)):
@@ -150,3 +152,30 @@ def test_sparse_flip_mask_statistics():
     assert 0 < total < 40
     assert sample_flip_mask((10,), 0.0, rng).sum() == 0
     assert sample_flip_mask((10,), 1.0, rng).sum() == 10
+
+
+@pytest.mark.parametrize("shape", [
+    (FLIP_CHUNK - 1,), (FLIP_CHUNK,), (FLIP_CHUNK + 1,), (3 * FLIP_CHUNK + 5,),
+    (3, FLIP_CHUNK + 7), (5, 3 * FLIP_CHUNK + 5)])
+def test_dense_flip_mask_matches_one_field(shape):
+    # The chunked mask is the one-field mask of a twin generator, and both
+    # generators are left in the same state.
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    mask = sample_flip_mask(shape, 0.186, rng)
+    assert mask.dtype == np.uint8 and mask.shape == shape
+    assert np.array_equal(mask, (twin.random(shape) < 0.186).astype(np.uint8))
+    assert rng.random() == twin.random()
+
+
+def test_dense_flip_mask_allocates_about_one_byte_per_bit(rng):
+    # The uniforms go through a cache-sized buffer, not a float64 field of
+    # 8 bytes per bit.
+    shape = (100, 49140)
+    sample_flip_mask(shape, 0.186, rng)
+    tracemalloc.start()
+    try:
+        sample_flip_mask(shape, 0.186, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * shape[0] * shape[1]

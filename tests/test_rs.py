@@ -106,11 +106,24 @@ def test_encode_parameter_errors():
 
 
 def test_bit_symbol_packing_roundtrip(rng):
-    for s in (3, 4, 8, 12):
-        bits = rng.integers(0, 2, (5, s * 7)).astype(np.uint8)
-        assert np.array_equal(symbols_to_bits(bits_to_symbols(bits, s), s), bits)
+    # Odd symbol counts leave a part-filled byte group at the end.
+    for lead, s in itertools.product([(), (5,), (3, 2)], (*range(2, 13), 16)):
+        bits = rng.integers(0, 2, lead + (s * 7,)).astype(np.uint8)
+        symbols = bits_to_symbols(bits, s)
+        assert symbols.dtype == np.int64 and symbols.shape == lead + (7,)
+        words = bits.reshape(-1, s).astype(str)
+        oracle = [int("".join(word), 2) for word in words]
+        assert symbols.reshape(-1).tolist() == oracle
+        unpacked = symbols_to_bits(symbols, s)
+        assert unpacked.dtype == np.uint8
+        assert np.array_equal(unpacked, bits)
     with pytest.raises(ValueError):
         bits_to_symbols(np.zeros(10, dtype=np.uint8), 4)
+    for s in (0, 17):
+        with pytest.raises(ValueError):
+            bits_to_symbols(np.zeros(34, dtype=np.uint8), s)
+        with pytest.raises(ValueError):
+            symbols_to_bits(np.zeros(2, dtype=np.int64), s)
 
 
 # -- decoding ---------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,11 @@ from thzlink.control import initial_link_config, optimize_for_distance, Optimize
 from thzlink.mdpc import MdpcCodec
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation
 from thzlink.rs import ReedSolomonCodec, symbols_to_bits
+from thzlink.modem import transmit
 from thzlink.sim import (DISTANCE_GRID_M, DWELL_CHOICES_S, LinkSimulation,
-                         MobilityTrace, TracePhase, _deliver, binomial_tail_above,
-                         generate_trace, residual_error_experiment,
-                         run_simulation)
+                         MobilityTrace, TracePhase, _deliver, _payload,
+                         binomial_tail_above, generate_trace,
+                         residual_error_experiment, run_simulation)
 
 
 def spec_for(table_csv, **kwargs):
@@ -280,6 +283,37 @@ def test_deliver_counts_wrong_data_bits(codec):
         decoded = codec.decode_batch(received)[0]
     assert np.array_equal(wrong, np.count_nonzero(decoded != data, axis=1))
     assert not ok.all() and wrong.any()
+
+
+def test_deliver_allocates_few_bytes_per_channel_bit():
+    # One interval of the longest RS words on a dense channel: payload,
+    # encode, channel and decode together stay well below the 8 bytes per
+    # bit of a float64 field.
+    codec = ReedSolomonCodec(12, 2)
+    batch, n_bits = 100, 12 * 4095
+    rng = np.random.default_rng(6)
+
+    def deliver():
+        data = _payload(rng, batch, n_bits - 24)
+        _deliver(codec, data, lambda bits: transmit(bits, 0.186, rng))
+
+    deliver()
+    tracemalloc.start()
+    try:
+        deliver()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * batch * n_bits
+
+
+def test_payload_is_fair_bits():
+    # No output depends on the payload (both codes are linear), so no golden
+    # hash would notice a payload that is not fair bits.
+    data = _payload(np.random.default_rng(2), 40, 1003)
+    assert data.shape == (40, 1003) and data.dtype == np.uint8
+    assert set(np.unique(data)) == {0, 1}
+    assert abs(int(data.sum()) - 40 * 1003 / 2) <= 3 * np.sqrt(40 * 1003 / 4)
 
 
 def test_binomial_tail():
