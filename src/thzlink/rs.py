@@ -15,70 +15,49 @@ correction and re-verification. Single-error-correcting codes (r == 2) skip
 the staged pipeline for a closed form.
 """
 
-import math
-
 import numpy as np
 
 from .gf import get_field
 
 
-def _group_layout(s: int) -> tuple:
-    """Byte layout of the shortest run of whole symbols that fills whole bytes.
-
-    A group holds 8/g symbols in s/g bytes, g = gcd(s, 8). Returns the byte
-    count and, for each symbol slot, its first and last byte and the number
-    of bits that follow it in its last byte. A slot spans at most three
-    bytes, since s <= 16.
-    """
+def _check_symbol_size(s: int) -> None:
+    # Symbols are built and split in uint16, so s is at most 16.
     if not 1 <= s <= 16:
         raise ValueError(f"symbol size s={s} outside 1..16")
-    g = math.gcd(s, 8)
-    return s // g, [(i * s // 8, ((i + 1) * s - 1) // 8, -(i + 1) * s % 8)
-                    for i in range(8 // g)]
 
 
 def bits_to_symbols(bits: np.ndarray, s: int) -> np.ndarray:
     """Pack a bit array (MSB first within each symbol) into s-bit symbols.
 
-    The bits are packed into bytes as one stream (np.packbits); each symbol
-    slot of a group is then read out of its bytes for all groups at once.
+    The symbols are built in a uint16 accumulator, one bit position per
+    pass: 2 bytes per symbol and pass, and few numpy calls for short words.
     """
     bits = np.asarray(bits)
-    group_bytes, slots = _group_layout(s)
+    _check_symbol_size(s)
     if bits.shape[-1] % s != 0:
         raise ValueError(f"bit length {bits.shape[-1]} not divisible by s={s}")
-    count = bits.size // s
-    packed = np.zeros((-(-count // len(slots)), group_bytes), dtype=np.uint8)
-    packed.reshape(-1)[: -(-bits.size // 8)] = np.packbits(bits.reshape(-1))
-    out = np.empty((packed.shape[0], len(slots)), dtype=np.int64)
-    for i, (first, last, shift) in enumerate(slots):
-        acc = packed[:, first].astype(np.uint32)
-        for b in range(first + 1, last + 1):
-            acc <<= 8
-            acc |= packed[:, b]
-        out[:, i] = (acc >> shift) & ((1 << s) - 1)
-    return out.reshape(-1)[:count].reshape(bits.shape[:-1] + (bits.shape[-1] // s,))
+    shaped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // s, s))
+    out = shaped[..., 0].astype(np.uint16)
+    for i in range(1, s):
+        out <<= 1
+        out |= shaped[..., i]
+    return out.astype(np.int64)
 
 
 def symbols_to_bits(symbols: np.ndarray, s: int) -> np.ndarray:
     """Unpack s-bit symbols into a bit array (MSB first).
 
-    The inverse of `bits_to_symbols`: each symbol slot is written into the
-    bytes of its group, and the byte stream is unpacked (np.unpackbits).
+    Each bit position is shifted out of a uint16 copy of the symbols
+    straight into its uint8 column, and one mask keeps the low bits.
     """
     symbols = np.asarray(symbols)
-    group_bytes, slots = _group_layout(s)
-    count = symbols.size
-    words = np.zeros((-(-count // len(slots)), len(slots)), dtype=np.uint32)
-    words.reshape(-1)[:count] = symbols.reshape(-1)
-    packed = np.zeros((words.shape[0], group_bytes), dtype=np.uint8)
-    for i, (first, last, shift) in enumerate(slots):
-        word = words[:, i] << shift
-        for b in range(last, first - 1, -1):
-            # The unsafe cast keeps the low byte.
-            np.bitwise_or(packed[:, b], word, out=packed[:, b], casting="unsafe")
-            word >>= 8
-    bits = np.unpackbits(packed.reshape(-1), count=count * s)
+    _check_symbol_size(s)
+    words = symbols.astype(np.uint16)
+    bits = np.empty(symbols.shape + (s,), dtype=np.uint8)
+    for i in range(s):
+        # The unsafe cast keeps the low byte; the mask below keeps its low bit.
+        np.right_shift(words, s - 1 - i, out=bits[..., i], casting="unsafe")
+    bits &= 1
     return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * s,))
 
 

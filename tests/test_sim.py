@@ -6,9 +6,9 @@ import pytest
 from thzlink.config import RunSpec
 from thzlink.control import initial_link_config, optimize_for_distance, OptimizerParams
 from thzlink.mdpc import MdpcCodec
-from thzlink.modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation
+from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
+                           transmit)
 from thzlink.rs import ReedSolomonCodec, symbols_to_bits
-from thzlink.modem import transmit
 from thzlink.sim import (DISTANCE_GRID_M, DWELL_CHOICES_S, LinkSimulation,
                          MobilityTrace, TracePhase, _deliver, _payload,
                          binomial_tail_above, generate_trace,
