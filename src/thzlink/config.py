@@ -111,10 +111,6 @@ def _key_types() -> dict:
 _KEY_TYPES = _key_types()
 
 
-def known_keys() -> list[str]:
-    return list(_KEY_TYPES)
-
-
 def _coerce(key: str, raw: str):
     try:
         return _KEY_TYPES[key](raw)

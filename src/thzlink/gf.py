@@ -59,27 +59,10 @@ class GF:
     def __repr__(self) -> str:
         return f"GF(2^{self.s})"
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.exp[self.log[a] + self.log[b]])
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^s)")
-        return int(self.exp[self.log[a] - self.log[b] + self.order - 1])
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(2^s)")
         return int(self.exp[self.order - 1 - self.log[a]])
-
-    def pow_alpha(self, k: int) -> int:
-        """alpha^k for the fixed primitive element alpha (k may be negative)."""
-        return int(self.exp[k % (self.order - 1)])
-
-    def pow(self, a: int, k: int) -> int:
-        if a == 0:
-            return 0 if k > 0 else 1
-        return int(self.exp[(self.log[a] * k) % (self.order - 1)])
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two arrays of field elements."""

@@ -171,7 +171,11 @@ def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
 def transmit(bits: np.ndarray, p_e: float, rng: np.random.Generator) -> np.ndarray:
     """Binary symmetric channel: flip each bit independently with probability p_e.
 
-    Works on arrays of any shape; deterministic for a fixed generator state.
+    Takes bool or uint8 bits of any shape and returns uint8; deterministic
+    for a fixed generator state. Any other dtype raises `TypeError`, since
+    casting it to bits would silently truncate symbols.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
+    if bits.dtype not in (np.bool_, np.uint8):
+        raise TypeError(f"transmit takes bool or uint8 bits, not {bits.dtype}")
     return bits ^ sample_flip_mask(bits.shape, p_e, rng)

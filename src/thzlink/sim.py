@@ -1,12 +1,17 @@
 """Discrete-time link simulation.
 
-Every update interval the transmitter encodes a batch of fresh generations
-under the active configuration, pushes them through the binary symmetric
-channel at the current distance, measures the pre-decode bit error rate,
-decodes at the receiver, and reports the measurement to the controller. A
+Every update interval draws the binary symmetric channel's flips for a batch
+of generations under the active configuration at the current distance,
+measures the pre-decode bit error rate, and reports it to the controller. A
 configuration returned by the controller takes effect at the start of the
 next interval, never retroactively. One metrics row is emitted per dwell
 segment; every interval additionally appends a row to the event log.
+
+No output reports a walk, so a walk interval draws the channel and stops.
+In a dwell interval only the generations with a flipped bit are encoded,
+sent and decoded: both codes are linear and both decoders see a word only
+through its syndromes or parities, so a generation without flips arrives
+clean.
 """
 
 import math
@@ -57,9 +62,6 @@ class MobilityTrace:
 
     def distance_at(self, now: float) -> float:
         return self.phases[self.phase_index_at(now)].distance_at(now)
-
-    def dwell_segments(self) -> list:
-        return [p for p in self.phases if p.kind == "dwell"]
 
 
 def generate_trace(seed: int, duration_s: float,
@@ -184,25 +186,52 @@ def _payload(rng: np.random.Generator, batch: int, k: int) -> np.ndarray:
 
 
 def _deliver(codec, data: np.ndarray, channel) -> tuple:
-    """Encode a (B, K) data block, pass its coded bits through `channel`, decode.
+    """Encode a (B, K) data block, pass its sent units through `channel`, decode.
 
+    Units are what the correction budget counts: symbols for RS, bits for
+    MDPC; `channel` maps the (B, units) sent block to the received one.
     Returns (sent units, received units, wrong data bits per row, ok flags,
-    changed flags). Units are what the correction budget counts: symbols
-    for RS, bits for MDPC. A row is changed when the decoder corrected it.
-    RS words start with their data symbols, so the wrong bits are counted
-    on the symbols and the decoded data is never unpacked.
+    changed flags). A row is changed when the decoder corrected it. RS
+    words start with their data symbols, so the wrong bits are counted on
+    the symbols and the decoded data is never unpacked.
     """
     sent = codec.encode_batch(data)
+    received = channel(sent)
     if isinstance(codec, ReedSolomonCodec):
-        s = codec.s
-        received = bits_to_symbols(channel(symbols_to_bits(sent, s)), s)
         out, counts, ok = codec.decode_symbols_batch(received)
-        k = data.shape[-1] // s
+        k = data.shape[-1] // codec.s
         wrong = np.bitwise_count(out[:, :k] ^ sent[:, :k]).sum(axis=1)
         return sent, received, wrong, ok, counts > 0
-    received = channel(sent)
     decoded, _, flips, ok = codec.decode_batch(received)
     return sent, received, np.count_nonzero(decoded != data, axis=1), ok, flips > 0
+
+
+def _carry(codec, k: int, flip_mask: np.ndarray, rng: np.random.Generator) -> Outcomes:
+    """Outcomes of a (B, n) block of k-data-bit generations flipped by `flip_mask`.
+
+    A row with no flipped bit decodes clean, so only the flipped rows get a
+    payload, an encode and a decode; their flips are added to the sent
+    units (packed into symbols for RS), in place: the received block reuses
+    the flips' buffer.
+    """
+    batch = flip_mask.shape[0]
+    # A mask holds only 0 and 1, so its bool view reduces exactly, and
+    # without the cast that reducing uint8 costs.
+    hit = np.flatnonzero(flip_mask.view(bool).any(axis=1))
+    outcomes = Outcomes(sent=batch, error_free=batch - hit.size, data_bits=batch * k)
+    if hit.size == 0:
+        return outcomes
+    flips = flip_mask[hit]
+    if isinstance(codec, ReedSolomonCodec):
+        flips = bits_to_symbols(flips, codec.s)
+    _, _, wrong, ok, changed = _deliver(
+        codec, _payload(rng, hit.size, k),
+        lambda sent: np.bitwise_xor(sent, flips, out=flips))
+    outcomes.error_free += int(np.count_nonzero(ok & ~changed))
+    outcomes.corrected = int(np.count_nonzero(ok & changed))
+    outcomes.failed = int(np.count_nonzero(~ok))
+    outcomes.wrong_bits = int(wrong.sum())
+    return outcomes
 
 
 class LinkSimulation:
@@ -239,30 +268,24 @@ class LinkSimulation:
             self._codecs[key] = codec
         return codec
 
-    def _transmit_interval(self, distance_m: float) -> tuple:
-        """Carry one interval's generations; returns (ber_m, outcomes)."""
+    def _transmit_interval(self, distance_m: float,
+                           outcomes: Outcomes | None = None) -> float:
+        """Draw one interval's channel and return ber_m.
+
+        The generations are carried, and their outcomes added to `outcomes`,
+        only when it is given: the open dwell's counts. A walk interval's
+        outcomes reach no output, so it only draws the channel.
+        """
         config = self.active_config
         p_e = self.table.lookup(distance_m, config.modulation)
         batch = self.spec.generations_per_interval
-        k = config.k_bits
-        n_bits = k + config.r_bits
-        flip_mask = sample_flip_mask((batch, n_bits), p_e, self.rng_channel)
+        flip_mask = sample_flip_mask((batch, config.k_bits + config.r_bits), p_e,
+                                     self.rng_channel)
         ber_m = p_e if self.spec.ber_estimator == "exact" else float(flip_mask.mean())
-        if not flip_mask.any():
-            # Nothing flipped this interval: every generation arrives clean.
-            return ber_m, Outcomes(sent=batch, error_free=batch, data_bits=batch * k)
-
-        data = _payload(self.rng_data, batch, k)
-        _, _, wrong, ok, changed = _deliver(self._codec_for(config), data,
-                                            lambda bits: bits ^ flip_mask)
-        return ber_m, Outcomes(
-            sent=batch,
-            error_free=int(np.count_nonzero(ok & ~changed)),
-            corrected=int(np.count_nonzero(ok & changed)),
-            failed=int(np.count_nonzero(~ok)),
-            wrong_bits=int(wrong.sum()),
-            data_bits=batch * k,
-        )
+        if outcomes is not None:
+            outcomes.add(_carry(self._codec_for(config), config.k_bits, flip_mask,
+                                self.rng_data))
+        return ber_m
 
     def run(self, metrics_path=None, events_path=None) -> list:
         spec = self.spec
@@ -300,9 +323,8 @@ class LinkSimulation:
                         log(now, "walk_start", f"d0={phase.d0:g};d1={phase.d1:g}")
                 phase = self.trace.phases[phase_idx]
                 distance = phase.distance_at(now)
-                ber_m, outcomes = self._transmit_interval(distance)
-                if dwell is not None:
-                    dwell[1].add(outcomes)
+                ber_m = self._transmit_interval(distance,
+                                                None if dwell is None else dwell[1])
                 action = self.controller.on_ber_update(BerMessage(ber_m, now))
                 self.interval_log.append((now, self.active_config.describe(),
                                           action.kind))
@@ -345,11 +367,6 @@ class ResidualStats:
     empirical_exceed_rate: float
     theoretical_tail: float
 
-    @property
-    def tail_sigma(self) -> float:
-        p = self.theoretical_tail
-        return math.sqrt(p * (1.0 - p) / self.generations)
-
 
 def binomial_tail_above(n: int, p: float, t: int) -> float:
     """P[X > t] for X ~ Binomial(n, p)."""
@@ -377,15 +394,19 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     k = config.k_bits
     codec = _build_codec(config, mdpc_max_iterations)
     t_budget = codec.t
+    s = config.s
     if config.scheme == SCHEME_RS:
-        n_units = (k + config.r_bits) // config.s
-        unit_p = symbol_error_prob(p_e, config.s)
+        n_units = (k + config.r_bits) // s
+        unit_p = symbol_error_prob(p_e, s)
+
+        def channel(sent):
+            return bits_to_symbols(transmit(symbols_to_bits(sent, s), p_e, rng_channel), s)
     else:
         n_units = k + config.r_bits
         unit_p = p_e
 
-    def channel(bits):
-        return transmit(bits, p_e, rng_channel)
+        def channel(sent):
+            return transmit(sent, p_e, rng_channel)
 
     within_failures = 0
     exceed = 0

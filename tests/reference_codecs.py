@@ -14,7 +14,32 @@ import numpy as np
 
 from thzlink.gf import get_field
 from thzlink.mdpc import DEFAULT_MAX_ITERATIONS
-from thzlink.rs import bits_to_symbols, symbols_to_bits
+from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
+from thzlink.sim import Outcomes
+
+# -- scalar GF(2^s) arithmetic on the library's log/antilog tables ------------
+
+
+def gf_mul(gf, a: int, b: int) -> int:
+    return int(gf.exp[gf.log[a] + gf.log[b]])
+
+
+def gf_div(gf, a: int, b: int) -> int:
+    if b == 0:
+        raise ZeroDivisionError("division by zero in GF(2^s)")
+    return int(gf.exp[gf.log[a] - gf.log[b] + gf.order - 1])
+
+
+def gf_pow_alpha(gf, k: int) -> int:
+    """alpha^k for the fixed primitive element alpha (k may be negative)."""
+    return int(gf.exp[k % (gf.order - 1)])
+
+
+def gf_pow(gf, a: int, k: int) -> int:
+    if a == 0:
+        return 0 if k > 0 else 1
+    return int(gf.exp[(gf.log[a] * k) % (gf.order - 1)])
+
 
 # -- Reed-Solomon -------------------------------------------------------------
 
@@ -26,7 +51,7 @@ def _poly_mul(gf, a: list, b: list) -> list:
         if ca == 0:
             continue
         for j, cb in enumerate(b):
-            out[i + j] ^= gf.mul(ca, cb)
+            out[i + j] ^= gf_mul(gf, ca, cb)
     return out
 
 
@@ -34,7 +59,7 @@ def generator_poly(gf, r_symbols: int) -> list:
     """g(x) = (x - a^1)(x - a^2)...(x - a^r), coefficients highest power first."""
     g = [1]
     for i in range(1, r_symbols + 1):
-        g = _poly_mul(gf, g, [1, gf.pow_alpha(i)])
+        g = _poly_mul(gf, g, [1, gf_pow_alpha(gf, i)])
     return g
 
 
@@ -48,7 +73,7 @@ def longdiv_parity(data_syms, s, r):
         if lead == 0:
             continue
         for j, gc in enumerate(g):
-            work[i + j] ^= gf.mul(lead, gc)
+            work[i + j] ^= gf_mul(gf, lead, gc)
     return work[-r:]
 
 
@@ -122,10 +147,10 @@ class ScalarRsCodec:
         gf = self.gf
         out = []
         for i in range(1, self.r_symbols + 1):
-            x = gf.pow_alpha(i)
+            x = gf_pow_alpha(gf, i)
             acc = 0
             for sym in word:
-                acc = gf.mul(acc, x) ^ int(sym)
+                acc = gf_mul(gf, acc, x) ^ int(sym)
             out.append(acc)
         return out
 
@@ -183,12 +208,12 @@ class ScalarRsCodec:
         for n in range(len(syn)):
             d = syn[n]
             for i in range(1, l + 1):
-                d ^= gf.mul(lam[i], syn[n - i])
+                d ^= gf_mul(gf, lam[i], syn[n - i])
             if d == 0:
                 m += 1
                 continue
-            coef = gf.div(d, b)
-            shifted = [0] * m + [gf.mul(coef, c) for c in prev]
+            coef = gf_div(gf, d, b)
+            shifted = [0] * m + [gf_mul(gf, coef, c) for c in prev]
             if 2 * l <= n:
                 old = lam[:]
                 lam = [a ^ b2 for a, b2 in
@@ -213,9 +238,9 @@ class ScalarRsCodec:
         positions = []
         for i in range(gf.order - 1):
             acc = 0
-            x = gf.pow_alpha(-i)
+            x = gf_pow_alpha(gf, -i)
             for k in range(len(lam) - 1, -1, -1):
-                acc = gf.mul(acc, x) ^ lam[k]
+                acc = gf_mul(gf, acc, x) ^ lam[k]
             if acc == 0:
                 positions.append(i)
         return positions
@@ -229,24 +254,24 @@ class ScalarRsCodec:
                 continue
             for j, lv in enumerate(lam):
                 if i + j < self.r_symbols and lv != 0:
-                    omega[i + j] ^= gf.mul(sv, lv)
+                    omega[i + j] ^= gf_mul(gf, sv, lv)
         # Formal derivative keeps odd-power terms only (characteristic 2).
         deriv = [lam[k] if k % 2 == 1 else 0 for k in range(1, len(lam))]
         values = []
         for pos in positions:
-            x_inv = gf.pow_alpha(-pos)
+            x_inv = gf_pow_alpha(gf, -pos)
             num = self._eval_ascending(omega, x_inv)
             den = self._eval_ascending(deriv, x_inv)
             if den == 0:
                 values.append(0)
             else:
-                values.append(gf.div(num, den))
+                values.append(gf_div(gf, num, den))
         return values
 
     def _eval_ascending(self, poly: list, x: int) -> int:
         acc = 0
         for c in reversed(poly):
-            acc = self.gf.mul(acc, x) ^ c
+            acc = gf_mul(self.gf, acc, x) ^ c
         return acc
 
 
@@ -364,3 +389,33 @@ def mdpc_decode(block: MdpcBlock,
         iterations += 1
     data = MdpcBlock(cube).data_bits()
     return MdpcDecodeResult(data, iterations, flipped, ok)
+
+
+# -- one interval, every codeword sent -----------------------------------------
+
+
+def codeword_outcomes(codec, k: int, flip_mask: np.ndarray,
+                      rng: np.random.Generator) -> Outcomes:
+    """Outcomes of a (B, n) block sent the long way, as the simulator once did.
+
+    Every row carries fresh random data and is encoded; its coded bits are
+    XORed with its row of `flip_mask` (RS symbols unpacked to bits and back)
+    and decoded. Wrong data bits are counted on the decoded data bits.
+    """
+    batch = flip_mask.shape[0]
+    data = rng.integers(0, 2, (batch, k), dtype=np.uint8)
+    sent = codec.encode_batch(data)
+    if isinstance(codec, ReedSolomonCodec):
+        s = codec.s
+        received = bits_to_symbols(symbols_to_bits(sent, s) ^ flip_mask, s)
+        out, changed, ok = codec.decode_symbols_batch(received)
+        decoded = symbols_to_bits(out[:, : k // s], s)
+    else:
+        decoded, _, changed, ok = codec.decode_batch(sent ^ flip_mask)
+    changed = changed > 0
+    return Outcomes(sent=batch,
+                    error_free=int(np.count_nonzero(ok & ~changed)),
+                    corrected=int(np.count_nonzero(ok & changed)),
+                    failed=int(np.count_nonzero(~ok)),
+                    wrong_bits=int(np.count_nonzero(decoded != data)),
+                    data_bits=batch * k)

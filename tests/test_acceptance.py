@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import tail_sigma
 from thzlink.config import RunSpec
 from thzlink.control import (AdaptiveController, BerMessage, OptimizerParams,
                              complexity_units, mdpc_candidates, rs_candidates,
@@ -244,12 +245,12 @@ def test_criterion_9_residual_error_property(default_table):
         assert stats.data_failures <= stats.exceed_injected
         # ... and the over-budget fraction matches the binomial tail.
         gap = abs(stats.empirical_exceed_rate - stats.theoretical_tail)
-        assert gap <= 3 * stats.tail_sigma, (codec_kind, stats)
+        assert gap <= 3 * tail_sigma(stats), (codec_kind, stats)
         # The failure rate never exceeds that tail; it runs slightly below
         # it when surplus errors hit only parity cells, and (for MDPC) when
         # the iterative decoder rescues collinear over-budget patterns.
         failure_rate = stats.data_failures / stats.generations
-        assert failure_rate <= stats.theoretical_tail + 3 * stats.tail_sigma
+        assert failure_rate <= stats.theoretical_tail + 3 * tail_sigma(stats)
         lines.append(f"{config.describe()}: tail {stats.theoretical_tail:.5f}, "
                      f"exceed {stats.empirical_exceed_rate:.5f}, "
                      f"failures {failure_rate:.5f}")

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from thzlink.config import (ENV_PREFIX, RunSpec, SpecError, build_spec,
-                            emit_spec, env_overrides, known_keys, load_spec,
+                            emit_spec, env_overrides, load_spec,
                             parse_pairs, parse_spec)
 from thzlink.control import DEFAULT_EPSILON
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, Modulation
@@ -165,6 +165,11 @@ def test_load_spec_applies_file_env_and_extra(tmp_path):
                      environ={f"{ENV_PREFIX}DURATION_S": "50"})
     assert spec.seed == 9  # explicit overrides beat the environment
     assert spec.duration_s == 50.0
+
+
+def known_keys() -> list[str]:
+    """Every key a spec file may set, as `emit_spec` writes them."""
+    return list(parse_pairs(emit_spec(RunSpec(table_path="t.csv"))))
 
 
 def test_known_keys_cover_dataclass():

@@ -9,9 +9,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_codecs import MdpcBlock, ScalarRsCodec, mdpc_decode
+from reference_codecs import MdpcBlock, ScalarRsCodec, codeword_outcomes, mdpc_decode
 from thzlink.mdpc import MdpcCodec
 from thzlink.rs import ReedSolomonCodec
+from thzlink.sim import _carry
 
 ROWS = 12
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -89,3 +90,35 @@ def test_mdpc_iteration_cap_matches_reference(rng):
         res = mdpc_decode(MdpcBlock.from_bits(rx[i], 4, 3), 3)
         assert (res.iterations, res.flipped, res.ok) == (iters[i], flips[i], ok[i])
         assert np.array_equal(res.data, dec[i])
+
+
+@st.composite
+def interval_cases(draw):
+    """A codec, its data and coded bits per word, and per-row flip counts:
+    clean rows mixed with rows of 1 to 2t + 3 flipped bits."""
+    if draw(st.booleans()):
+        s = draw(st.integers(3, 12))
+        r = draw(st.sampled_from([2, 4]))
+        length = draw(st.integers(r + 1, min(2 ** s - 1, 255)))
+        codec, k, n_bits = ReedSolomonCodec(s, r), s * (length - r), s * length
+    else:
+        n = draw(st.sampled_from([2, 3]))
+        codec = MdpcCodec(draw(st.integers(2, {2: 6, 3: 4}[n])), n)
+        k, n_bits = codec.k_bits, codec.k_bits + codec.r_bits
+    flipped = draw(st.lists(st.integers(1, min(2 * codec.t + 3, n_bits)), max_size=10))
+    clean = draw(st.integers(0 if flipped else 1, 4))
+    return codec, k, n_bits, [0] * clean + flipped, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@SETTINGS
+@given(interval_cases())
+def test_interval_outcomes_match_codeword_path(case):
+    # The simulator carries only the flipped rows and adds their flips to
+    # the sent units; every row sent as a codeword must give the same counts.
+    codec, k, n_bits, weights, seed = case
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((len(weights), n_bits), dtype=np.uint8)
+    for row, weight in zip(mask, rng.permutation(weights)):
+        row[rng.choice(n_bits, size=weight, replace=False)] = 1
+    expected = codeword_outcomes(codec, k, mask, np.random.default_rng([seed, 1]))
+    assert _carry(codec, k, mask, np.random.default_rng([seed, 2])) == expected

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reference_codecs import gf_div, gf_mul, gf_pow, gf_pow_alpha
 from thzlink.gf import GF, PRIMITIVE_POLYS, get_field
 
 
@@ -23,14 +24,14 @@ def test_mul_matches_slow_oracle_exhaustive(s):
     q = 1 << s
     for a in range(q):
         for b in range(q):
-            assert gf.mul(a, b) == slow_mul(a, b, s)
+            assert gf_mul(gf, a, b) == slow_mul(a, b, s)
 
 
 def test_mul_matches_slow_oracle_random_gf256(rng):
     gf = get_field(8)
     for _ in range(2000):
         a, b = int(rng.integers(0, 256)), int(rng.integers(0, 256))
-        assert gf.mul(a, b) == slow_mul(a, b, 8)
+        assert gf_mul(gf, a, b) == slow_mul(a, b, 8)
 
 
 @pytest.mark.parametrize("s", [3, 4, 8])
@@ -39,26 +40,26 @@ def test_field_axioms(s, rng):
     q = gf.order
     for _ in range(500):
         a, b, c = (int(x) for x in rng.integers(0, q, 3))
-        assert gf.mul(a, b) == gf.mul(b, a)
-        assert gf.mul(a, gf.mul(b, c)) == gf.mul(gf.mul(a, b), c)
-        assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
+        assert gf_mul(gf, a, b) == gf_mul(gf, b, a)
+        assert gf_mul(gf, a, gf_mul(gf, b, c)) == gf_mul(gf, gf_mul(gf, a, b), c)
+        assert gf_mul(gf, a, b ^ c) == gf_mul(gf, a, b) ^ gf_mul(gf, a, c)
         assert a ^ a == 0  # addition is self-inverse
-        assert gf.mul(a, 1) == a
-        assert 0 <= gf.mul(a, b) < q
+        assert gf_mul(gf, a, 1) == a
+        assert 0 <= gf_mul(gf, a, b) < q
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 8, 12])
 def test_every_nonzero_element_has_inverse(s):
     gf = get_field(s)
     for a in range(1, gf.order):
-        assert gf.mul(a, gf.inv(a)) == 1
+        assert gf_mul(gf, a, gf.inv(a)) == 1
 
 
 def test_log_exp_consistency():
     gf = get_field(8)
     seen = set()
     for k in range(255):
-        v = gf.pow_alpha(k)
+        v = gf_pow_alpha(gf, k)
         assert gf.log[v] == k
         seen.add(v)
     assert len(seen) == 255  # alpha generates all nonzero elements
@@ -67,10 +68,10 @@ def test_log_exp_consistency():
 def test_div_and_inv_reject_zero():
     gf = get_field(4)
     with pytest.raises(ZeroDivisionError):
-        gf.div(3, 0)
+        gf_div(gf, 3, 0)
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
-    assert all(gf.div(0, b) == 0 for b in range(1, 16))
+    assert all(gf_div(gf, 0, b) == 0 for b in range(1, 16))
 
 
 def test_pow():
@@ -78,10 +79,10 @@ def test_pow():
     for a in range(1, 16):
         acc = 1
         for k in range(1, 6):
-            acc = gf.mul(acc, a)
-            assert gf.pow(a, k) == acc
-    assert gf.pow(0, 3) == 0
-    assert gf.pow(0, 0) == 1
+            acc = gf_mul(gf, acc, a)
+            assert gf_pow(gf, a, k) == acc
+    assert gf_pow(gf, 0, 3) == 0
+    assert gf_pow(gf, 0, 0) == 1
 
 
 def test_mul_vec_matches_scalar(rng):
@@ -93,7 +94,7 @@ def test_mul_vec_matches_scalar(rng):
     out = gf.mul_vec(a, b)
     assert not out[:30].any()
     for i in range(300):
-        assert out[i] == gf.mul(int(a[i]), int(b[i]))
+        assert out[i] == gf_mul(gf, int(a[i]), int(b[i]))
 
 
 @pytest.mark.parametrize("s", [2, 3, 8, 12])
@@ -111,7 +112,7 @@ def test_dot_logs_matches_scalar_sums(s, rng):
         for j in range(4):
             acc = 0
             for i in range(9):
-                acc ^= gf.mul(int(a[b, i]), int(mat[j, i]))
+                acc ^= gf_mul(gf, int(a[b, i]), int(mat[j, i]))
             assert out[b, j] == acc
 
 
@@ -133,7 +134,7 @@ def test_inv_matrix_times_matrix_is_identity(s, rng):
 def test_inv_matrix_rejects_singular_and_non_square():
     gf = get_field(4)
     with pytest.raises(ValueError, match="singular"):
-        gf.inv_matrix([[1, 2], [2, gf.mul(2, 2)]])  # second row = 2 * first
+        gf.inv_matrix([[1, 2], [2, gf_mul(gf, 2, 2)]])  # second row = 2 * first
     with pytest.raises(ValueError, match="square"):
         gf.inv_matrix([[1, 2, 3], [4, 5, 6]])
 

@@ -127,6 +127,16 @@ def test_transmit_degenerate_probabilities(rng):
     assert rng.bit_generator.state == state  # no random numbers drawn
 
 
+def test_transmit_rejects_non_bit_dtypes(rng):
+    # Casting symbols to uint8 would keep their low byte: 300 would come
+    # back as 44 at p_e = 0.
+    for values in (np.array([300, 2, 7]), np.array([1, 0], dtype=np.int8),
+                   np.array([1, 0], dtype=np.uint16), np.array([1.0, 0.0])):
+        with pytest.raises(TypeError, match=str(values.dtype)):
+            transmit(values, 0.0, rng)
+    assert transmit(np.array([True, False]), 1.0, rng).tolist() == [0, 1]
+
+
 def test_transmit_flip_rate_within_3_sigma():
     rng = np.random.default_rng(99)
     bits = np.zeros(1_000_000, dtype=np.uint8)

@@ -3,14 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import tail_sigma
+from thzlink import sim as sim_module
 from thzlink.config import RunSpec
 from thzlink.control import initial_link_config, optimize_for_distance, OptimizerParams
 from thzlink.mdpc import MdpcCodec
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
                            transmit)
-from thzlink.rs import ReedSolomonCodec, symbols_to_bits
+from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 from thzlink.sim import (DISTANCE_GRID_M, DWELL_CHOICES_S, LinkSimulation,
-                         MobilityTrace, TracePhase, _deliver, _payload,
+                         MobilityTrace, Outcomes, TracePhase, _deliver, _payload,
                          binomial_tail_above, generate_trace,
                          residual_error_experiment, run_simulation)
 
@@ -61,7 +63,7 @@ def test_trace_structure():
 
 def test_trace_segment_count_for_long_scenario():
     trace = generate_trace(3, 60600)
-    n = len(trace.dwell_segments())
+    n = sum(phase.kind == "dwell" for phase in trace.phases)
     # Segment time ranges over [180.5, 439.5] s, bounding the count.
     assert 60600 // 440 <= n <= 60600 // 180 + 1
 
@@ -153,6 +155,43 @@ def test_walk_clears_buffer_on_each_ber_jump(default_table, table_csv):
     assert walk_kinds[1:] == ["cleared"] * 11
 
 
+def test_walk_intervals_draw_the_channel_only(default_table, table_csv, monkeypatch):
+    # No output reports a walk interval's outcomes, so it draws its flips,
+    # which the controller's BER and the channel stream need, and stops.
+    trace = MobilityTrace((TracePhase("dwell", 0.0, 10.0, 12.0, 12.0),
+                           TracePhase("walk", 10.0, 16.0, 12.0, 18.0),
+                           TracePhase("dwell", 16.0, 30.0, 18.0, 18.0)))
+    spec = spec_for(table_csv, duration_s=30.0)
+    sim = LinkSimulation(spec, default_table, trace=trace)
+    calls = []  # (interval index, what was called)
+
+    def spy(owner, name, what):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((len(sim.interval_log), what))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(sim_module, "sample_flip_mask", "flip")
+    for codec in (ReedSolomonCodec, MdpcCodec):
+        spy(codec, "encode_batch", "encode")
+    spy(ReedSolomonCodec, "decode_symbols_batch", "decode")
+    spy(MdpcCodec, "decode_batch", "decode")
+    sim.run()
+
+    walk = {i for i, (now, _, _) in enumerate(sim.interval_log) if 10.0 <= now < 16.0}
+    assert len(walk) == 12
+    flips = [i for i, what in calls if what == "flip"]
+    assert flips == list(range(len(sim.interval_log)))
+    coded = {i for i, what in calls if what != "flip"}
+    assert not coded & walk
+    # The dwells on both sides of the walk do carry data.
+    assert {what for _, what in calls} == {"flip", "encode", "decode"}
+    assert min(coded) < min(walk) and max(coded) > max(walk)
+
+
 def test_records_conserve_generation_counts(default_table, table_csv):
     spec = spec_for(table_csv, seed=11, duration_s=900.0)
     records = LinkSimulation(spec, default_table).run()
@@ -182,7 +221,8 @@ def test_run_is_deterministic_to_the_byte(default_table, table_csv, tmp_path):
 def test_sampled_estimator_reports_measured_ber(default_table, table_csv):
     spec = spec_for(table_csv, duration_s=10.0, ber_estimator="sampled")
     sim = LinkSimulation(spec, default_table, trace=stationary_trace(19.0, 10.0))
-    ber_m, stats = sim._transmit_interval(19.0)
+    stats = Outcomes()
+    ber_m = sim._transmit_interval(19.0, stats)
     p_e = default_table.lookup(19.0, Modulation.QAM16)
     n_bits = spec.generations_per_interval * 240
     sigma = (p_e * (1 - p_e) / n_bits) ** 0.5
@@ -194,7 +234,7 @@ def test_sampled_estimator_reports_measured_ber(default_table, table_csv):
 def test_exact_estimator_reports_table_value(default_table, table_csv):
     spec = spec_for(table_csv, duration_s=10.0, ber_estimator="exact")
     sim = LinkSimulation(spec, default_table, trace=stationary_trace(19.0, 10.0))
-    ber_m, _ = sim._transmit_interval(19.0)
+    ber_m = sim._transmit_interval(19.0)
     assert ber_m == default_table.lookup(19.0, Modulation.QAM16)
 
 
@@ -269,11 +309,17 @@ def test_deliver_counts_wrong_data_bits(codec):
     # beyond-t rows in every block.
     flips = np.arange(batch) % (2 * codec.t + 4)
 
-    def channel(bits):
+    def flip_bits(bits):
         out = bits.copy()
         for row, count in enumerate(flips):
             out[row, rng.choice(bits.shape[1], size=count, replace=False)] ^= 1
         return out
+
+    def channel(sent):
+        # The channel gets the sent units; RS symbols are flipped bitwise.
+        if rs:
+            return bits_to_symbols(flip_bits(symbols_to_bits(sent, codec.s)), codec.s)
+        return flip_bits(sent)
 
     _, received, wrong, ok, _ = _deliver(codec, data, channel)
     if rs:
@@ -293,9 +339,12 @@ def test_deliver_allocates_few_bytes_per_channel_bit():
     batch, n_bits = 100, 12 * 4095
     rng = np.random.default_rng(6)
 
+    def channel(sent):
+        return bits_to_symbols(transmit(symbols_to_bits(sent, 12), 0.186, rng), 12)
+
     def deliver():
         data = _payload(rng, batch, n_bits - 24)
-        _deliver(codec, data, lambda bits: transmit(bits, 0.186, rng))
+        _deliver(codec, data, channel)
 
     deliver()
     tracemalloc.start()
@@ -334,6 +383,6 @@ def test_residual_experiment_small(default_table):
     # Failures only happen beyond the budget; a few over-budget generations
     # survive when the surplus errors fall on parity symbols only.
     assert stats.data_failures <= stats.exceed_injected
-    assert abs(stats.empirical_exceed_rate - stats.theoretical_tail) < 3 * stats.tail_sigma
+    assert abs(stats.empirical_exceed_rate - stats.theoretical_tail) < 3 * tail_sigma(stats)
     assert abs(stats.data_failures / stats.generations
-               - stats.theoretical_tail) < 3 * stats.tail_sigma
+               - stats.theoretical_tail) < 3 * tail_sigma(stats)
