@@ -2,9 +2,9 @@
 
 from .config import RunSpec, SpecError, emit_spec, load_spec, parse_spec
 from .control import (AdaptiveController, BerMessage, Candidate, ControlAction,
-                      EpsilonPolicy, LinkConfig, OptimizerParams,
-                      complexity_units, estimate_distance, mdpc_candidates,
-                      optimize_for_distance, rs_candidates, select_config)
+                      LinkConfig, OptimizerParams, complexity_units,
+                      estimate_distance, mdpc_candidates, optimize_for_distance,
+                      rs_candidates, select_config)
 from .gf import GF, get_field
 from .mdpc import MdpcCodec
 from .modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveController", "BerMessage", "BerTable", "Candidate",
-    "ControlAction", "DEFAULT_DATA_RATES_GBPS", "EpsilonPolicy", "GF",
+    "ControlAction", "DEFAULT_DATA_RATES_GBPS", "GF",
     "LinkConfig", "LinkSimulation", "MODULATIONS", "MdpcCodec",
     "MetricsRecord", "MobilityTrace", "Modulation", "OptimizerParams",
     "ReedSolomonCodec", "ResidualStats", "RunSpec", "SpecError", "TableModel",

@@ -3,6 +3,7 @@
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .config import SpecError, load_spec
 from .control import OptimizerParams, optimize_for_distance
@@ -38,12 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("optimize", help="one-shot candidate report for a distance")
     opt.add_argument("--table", required=True, help="BER table CSV")
     opt.add_argument("--distance", type=float, required=True, help="distance in meters")
-    params = OptimizerParams()
-    opt.add_argument("--t-mdpc", type=int, default=params.t_mdpc)
-    opt.add_argument("--t-rs", type=int, default=params.t_rs)
-    opt.add_argument("--s-min", type=int, default=params.s_min)
-    opt.add_argument("--s-max", type=int, default=params.s_max)
-    opt.add_argument("--m-max", type=int, default=params.m_max)
+    for f in fields(OptimizerParams):
+        opt.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
     return parser
 
 
@@ -94,9 +91,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    params = OptimizerParams(**{f.name: getattr(args, f.name)
+                                for f in fields(OptimizerParams)})
     table = BerTable.from_csv(args.table)
-    params = OptimizerParams(t_mdpc=args.t_mdpc, t_rs=args.t_rs,
-                             s_min=args.s_min, s_max=args.s_max, m_max=args.m_max)
     rates = DEFAULT_DATA_RATES_GBPS
     candidates, chosen = optimize_for_distance(table, args.distance, rates, params)
     print(f"distance {args.distance:g} m")

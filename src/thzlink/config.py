@@ -15,7 +15,8 @@ import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
-from .control import DEFAULT_EPSILON, OptimizerParams
+from .control import DEFAULT_BUFFER_SIZE, DEFAULT_EPSILON, OptimizerParams
+from .mdpc import DEFAULT_MAX_ITERATIONS
 from .modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, Modulation
 
 ENV_PREFIX = "THZLINK_"
@@ -52,15 +53,15 @@ class RunSpec:
     seed: int = 1
     duration_s: float = 6060.0
     update_interval_s: float = 0.5
-    buffer_size: int = 4
+    buffer_size: int = DEFAULT_BUFFER_SIZE
     epsilon: Mapping = field(default_factory=lambda: dict(DEFAULT_EPSILON))
-    t_mdpc: int = 1
-    t_rs: int = 1
+    t_mdpc: int = OptimizerParams.t_mdpc
+    t_rs: int = OptimizerParams.t_rs
     rate_gbps: Mapping = field(default_factory=lambda: dict(DEFAULT_DATA_RATES_GBPS))
-    s_min: int = 3
-    s_max: int = 12
-    m_max: int = 1024
-    mdpc_max_iterations: int = 10
+    s_min: int = OptimizerParams.s_min
+    s_max: int = OptimizerParams.s_max
+    m_max: int = OptimizerParams.m_max
+    mdpc_max_iterations: int = DEFAULT_MAX_ITERATIONS
     generations_per_interval: int = 100
     # "exact" feeds the controller the table's p_e at the current distance
     # (a noiseless estimator, matching the movement thresholds' assumption);
@@ -84,9 +85,8 @@ class RunSpec:
         return functools.partial(RunSpec, **values), ()
 
     def optimizer_params(self) -> OptimizerParams:
-        return OptimizerParams(t_mdpc=self.t_mdpc, t_rs=self.t_rs,
-                               s_min=self.s_min, s_max=self.s_max,
-                               m_max=self.m_max)
+        return OptimizerParams(**{f.name: getattr(self, f.name)
+                                  for f in fields(OptimizerParams)})
 
 
 _FIELDS = {f.name: f for f in fields(RunSpec)}
@@ -182,16 +182,10 @@ def _validate(spec: RunSpec) -> None:
     positive("update_interval_s", spec.update_interval_s)
     if spec.buffer_size < 1:
         bad("buffer_size", "must be >= 1")
-    if spec.t_rs < 1:
-        bad("t_rs", "must be >= 1")
     try:
-        spec.optimizer_params().mdpc_dims()
-    except ValueError as exc:
-        bad("t_mdpc", str(exc))
-    if not 2 <= spec.s_min <= spec.s_max <= 12:
-        bad("s_min/s_max", "need 2 <= s_min <= s_max <= 12")
-    if spec.m_max < 2:
-        bad("m_max", "must be >= 2")
+        spec.optimizer_params()
+    except ValueError as exc:  # names the key already
+        raise SpecError(str(exc)) from exc
     if spec.mdpc_max_iterations < 1:
         bad("mdpc_max_iterations", "must be >= 1")
     if spec.generations_per_interval < 1:

@@ -8,10 +8,11 @@ correction capability of the chosen code.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .gf import PRIMITIVE_POLYS
 from .modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
                     symbol_error_prob)
 
@@ -37,14 +38,6 @@ class BerMessage:
 
     ber_m: float
     timestamp: float
-
-
-@dataclass(frozen=True)
-class EpsilonPolicy:
-    thresholds: dict = field(default_factory=lambda: dict(DEFAULT_EPSILON))
-
-    def threshold(self, mod: Modulation) -> float:
-        return self.thresholds[mod]
 
 
 @dataclass(frozen=True)
@@ -116,20 +109,40 @@ class Candidate:
         return self.k_bits / (self.k_bits + self.r_bits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerParams:
+    """Correction budgets and geometry ranges of the optimizer.
+
+    Checked when built: a bad value raises ``ValueError("invalid <key>: ...")``.
+    The RS symbol sizes are those the codec has a field for.
+    """
+
     t_mdpc: int = 1
     t_rs: int = 1
     s_min: int = 3
     s_max: int = 12
     m_max: int = 1024
 
+    def __post_init__(self) -> None:
+        def bad(key, why):
+            raise ValueError(f"invalid {key}: {why}")
+
+        # t_mdpc + 1 must be a power of two of at least 2, so n >= 2.
+        if self.t_mdpc < 1 or self.t_mdpc & (self.t_mdpc + 1):
+            bad("t_mdpc", f"{self.t_mdpc} is not of the form 2^(n-1) - 1 with n >= 2")
+        if self.t_rs < 1:
+            bad("t_rs", "must be >= 1")
+        if not min(PRIMITIVE_POLYS) <= self.s_min <= self.s_max:
+            bad("s_min", f"need {min(PRIMITIVE_POLYS)} <= s_min <= s_max, "
+                f"got {self.s_min} and {self.s_max}")
+        if self.s_max > max(PRIMITIVE_POLYS):
+            bad("s_max", f"must be <= {max(PRIMITIVE_POLYS)}")
+        if self.m_max < 2:
+            bad("m_max", "must be >= 2")
+
     def mdpc_dims(self) -> int:
         """Dimension count n with 2^(n-1) - 1 == t_mdpc."""
-        n = int(round(math.log2(self.t_mdpc + 1))) + 1
-        if 2 ** (n - 1) - 1 != self.t_mdpc:
-            raise ValueError(f"t_mdpc={self.t_mdpc} is not of the form 2^(n-1)-1")
-        return n
+        return (self.t_mdpc + 1).bit_length()
 
 
 def estimate_distance(ber_m: float, mod: Modulation, table: BerTable) -> float:
@@ -150,8 +163,8 @@ def _max_mdpc_side(p_e: float, t_bits: int, n: int, m_max: int) -> int | None:
     """Largest m with (m+1)^n * p_e <= t_bits, or None when even m=2 fails."""
     if p_e <= 0.0:
         return m_max
-    m = int((t_bits / p_e) ** (1.0 / n)) - 1
-    m = min(m, m_max)
+    # t_bits / p_e overflows to inf for a subnormal p_e; min() caps it first.
+    m = int(min((t_bits / p_e) ** (1.0 / n), m_max + 1)) - 1
     while m < m_max and (m + 2) ** n * p_e <= t_bits:
         m += 1
     while m >= 2 and (m + 1) ** n * p_e > t_bits:
@@ -282,19 +295,19 @@ class AdaptiveController:
     it, and updates on a full, stable buffer only rotate the oldest entry out.
     """
 
-    def __init__(self, table: BerTable, policy: EpsilonPolicy | None = None,
+    def __init__(self, table: BerTable, epsilon: dict | None = None,
                  rates: dict | None = None,
-                 initial_config: LinkConfig | None = None,
                  buffer_size: int = DEFAULT_BUFFER_SIZE,
                  params: OptimizerParams | None = None):
         if buffer_size < 1:
             raise ValueError("buffer size must be >= 1")
         self.table = table
-        self.policy = policy or EpsilonPolicy()
+        # Movement threshold per modulation; the current modulation's applies.
+        self.epsilon = dict(epsilon or DEFAULT_EPSILON)
         self.rates = dict(rates or DEFAULT_DATA_RATES_GBPS)
         self.params = params or OptimizerParams()
         self.capacity = buffer_size
-        self.current_config = initial_config or initial_link_config(self.rates)
+        self.current_config = initial_link_config(self.rates)
         self.buffer: list[float] = [0.0]
         self.total_units = 0
         self.last_generation_units = 0
@@ -303,7 +316,7 @@ class AdaptiveController:
     def on_ber_update(self, msg: BerMessage) -> ControlAction:
         if not math.isfinite(msg.ber_m):
             raise ValueError(f"BER report must be finite, got {msg.ber_m!r}")
-        eps = self.policy.threshold(self.current_config.modulation)
+        eps = self.epsilon[self.current_config.modulation]
         n_compares = len(self.buffer)
         if any(abs(msg.ber_m - buffered) >= eps for buffered in self.buffer):
             self.buffer = [msg.ber_m]

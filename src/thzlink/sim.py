@@ -20,9 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import RunSpec
-from .control import (AdaptiveController, BerMessage, EpsilonPolicy, LinkConfig,
-                      SCHEME_RS, initial_link_config)
-from .mdpc import MdpcCodec
+from .control import AdaptiveController, BerMessage, LinkConfig, SCHEME_RS
+from .mdpc import DEFAULT_MAX_ITERATIONS, MdpcCodec
 from .modem import BerTable, sample_flip_mask, symbol_error_prob, transmit
 from .rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 
@@ -50,18 +49,11 @@ class TracePhase:
 class MobilityTrace:
     phases: tuple
 
-    @property
-    def duration_s(self) -> float:
-        return self.phases[-1].t1
-
     def phase_index_at(self, now: float, start: int = 0) -> int:
         i = start
         while i < len(self.phases) - 1 and now >= self.phases[i].t1:
             i += 1
         return i
-
-    def distance_at(self, now: float) -> float:
-        return self.phases[self.phase_index_at(now)].distance_at(now)
 
 
 def generate_trace(seed: int, duration_s: float,
@@ -111,22 +103,17 @@ class MetricsRecord:
     generations_corrected: int
     generations_failed: int
 
-    CSV_FIELDS = ("time_s", "distance_m", "scheme", "modulation", "k_bits",
-                  "r_bits", "code_rate", "overhead", "th_theoretical_gbps",
-                  "p_re_empirical", "generations_sent", "generations_error_free",
-                  "generations_corrected", "generations_failed")
-
     def to_csv_row(self) -> str:
         parts = []
-        for name in self.CSV_FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             parts.append(repr(value) if isinstance(value, float) else str(value))
         return ",".join(parts)
 
 
 def write_metrics_csv(path, records) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(MetricsRecord.CSV_FIELDS) + "\n")
+        fh.write(",".join(f.name for f in fields(MetricsRecord)) + "\n")
         for rec in records:
             fh.write(rec.to_csv_row() + "\n")
 
@@ -246,9 +233,8 @@ class LinkSimulation:
         self.rng_channel = np.random.default_rng([spec.seed, 2])
         self.controller = AdaptiveController(
             table,
-            policy=EpsilonPolicy(dict(spec.epsilon)),
+            epsilon=spec.epsilon,
             rates=spec.rate_gbps,
-            initial_config=initial_link_config(spec.rate_gbps),
             buffer_size=spec.buffer_size,
             params=spec.optimizer_params(),
         )
@@ -382,7 +368,8 @@ def binomial_tail_above(n: int, p: float, t: int) -> float:
 
 def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
                               seed: int, batch_size: int = 2000,
-                              mdpc_max_iterations: int = 10) -> ResidualStats:
+                              mdpc_max_iterations: int = DEFAULT_MAX_ITERATIONS
+                              ) -> ResidualStats:
     """Transmit many generations at one fixed configuration and p_e.
 
     Counts, per generation, the injected error units (symbols for RS, bits

@@ -10,14 +10,13 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import tail_sigma
+from helpers import brute_force_selection, tail_sigma
 from thzlink.config import RunSpec
 from thzlink.control import (AdaptiveController, BerMessage, OptimizerParams,
                              complexity_units, mdpc_candidates, rs_candidates,
                              select_config)
 from thzlink.mdpc import MdpcCodec
-from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, Modulation,
-                           symbol_error_prob)
+from thzlink.modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, Modulation
 from thzlink.rs import ReedSolomonCodec, symbols_to_bits
 from thzlink.sim import (LinkSimulation, MobilityTrace, TracePhase,
                          residual_error_experiment, run_simulation)
@@ -88,36 +87,6 @@ def test_criterion_2_rs_correction_guarantee(rng):
           f"100% corrected")
 
 
-def brute_force_selection(table, distance, rates, params):
-    """Full enumeration over scheme x modulation x geometry."""
-    n = params.mdpc_dims()
-    entries = []
-    for mod in MODULATIONS:
-        p = table.lookup(distance, mod)
-        for m in range(2, params.m_max + 1):
-            if (m + 1) ** n * p <= params.t_mdpc:
-                k = m ** n
-                entries.append(("MDPC", mod, k, (m + 1) ** n - k))
-        r_bits = 2 * params.t_rs
-        for s in range(params.s_min, params.s_max + 1):
-            p_sym = symbol_error_prob(p, s)
-            for length in range(2 ** (s - 1), 2 ** s):
-                if length * p_sym > params.t_rs or length < 2 * params.t_rs + 1:
-                    continue
-                entries.append(("RS", mod, s * (length - 2 * params.t_rs),
-                                2 * s * params.t_rs))
-    if not entries:
-        return None
-
-    def key(entry):
-        scheme, mod, k, r = entry
-        rate = k / (k + r)
-        return (rate * rates[mod], rate, 1 if scheme == "RS" else 0,
-                mod.bits_per_symbol)
-
-    return max(entries, key=key)
-
-
 def test_criterion_3_optimizer_oracle_equivalence(default_table):
     params = OptimizerParams()
     rates = DEFAULT_DATA_RATES_GBPS
@@ -181,7 +150,7 @@ def test_criterion_6_8psk_never_selected(default_table, full_run):
 
 def test_criterion_7_state_machine_conformance(default_table):
     ctl = AdaptiveController(default_table)
-    eps = ctl.policy.threshold(ctl.current_config.modulation)
+    eps = ctl.epsilon[ctl.current_config.modulation]
     assert ctl.buffer == [0.0]  # boot state
 
     # Clear on movement (a jump of at least epsilon against any entry).

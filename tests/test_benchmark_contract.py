@@ -4,6 +4,8 @@
 calls; `perfbench/run.py` fails a traced run whose counters read zero, or
 whose flip and update counts differ from the interval count. A change that
 drops or renames one of those calls fails here, not only in a traced run.
+The untraced benchmark calls the control plane directly, and the last test
+keeps that surface working.
 """
 
 import importlib.util
@@ -16,15 +18,20 @@ from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, Modulation
 from thzlink.sim import LinkSimulation, MobilityTrace, TracePhase, residual_error_experiment
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("spans")
 
 
 def test_scenario_counters(spans, default_table):
@@ -60,3 +67,14 @@ def test_codec_experiment_counters(spans):
     assert counts["mdpc.iterations"] > 0
     assert counts["modem.flip_calls"] == 2  # one transmit per batch
     assert tracer.self_s["modem.transmit"] > 0
+
+
+def test_untraced_benchmark_control_plane_surface(default_table):
+    # The untraced benchmark reaches the control plane through
+    # `RunSpec.optimizer_params`, `optimize_for_distance`,
+    # `initial_link_config` and `LinkConfig.describe`; a change to one of
+    # them fails here, not only as a failed benchmark run.
+    run = load("run")
+    sizes = run.codeword_bits_by_label(RunSpec(table_path=""), default_table)
+    assert sizes
+    assert all(bits > 0 for bits in sizes.values())

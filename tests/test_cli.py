@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from thzlink.cli import main
 from thzlink.modem import MODULATIONS, BerTable, Modulation
@@ -96,6 +97,18 @@ def test_optimize_matches_library(table_csv, capsys):
 def test_optimize_out_of_range_distance(table_csv, capsys):
     assert run_cli("optimize", "--table", table_csv, "--distance", 99.0) == 2
     assert "outside table range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--s-max", 16), ("--s-min", 1),
+                                        ("--t-rs", 0), ("--t-mdpc", 0),
+                                        ("--m-max", 1)])
+def test_optimize_rejects_bad_params(table_csv, capsys, flag, value):
+    # `run` rejected these; `optimize` took them, and at --s-max 16 picked
+    # an RS code that no codec can build.
+    assert run_cli("optimize", "--table", table_csv, "--distance", 3.0,
+                   flag, value) == 2
+    key = flag[2:].replace("-", "_")
+    assert f"invalid {key}" in capsys.readouterr().err
 
 
 def test_optimize_throughput_never_exceeds_peak_rate(table_csv, capsys):

@@ -77,6 +77,8 @@ def test_duplicate_key_rejected():
     ("duration_s = -5", "duration_s"),
     ("buffer_size = 0", "buffer_size"),
     ("t_mdpc = 2", "t_mdpc"),
+    ("t_mdpc = 0", "t_mdpc"),
+    ("t_mdpc = -1", "t_mdpc"),
     ("ber_estimator = fuzzy", "ber_estimator"),
     ("epsilon.16qam = 0", "epsilon.16qam"),
     ("rate_gbps.bpsk = -1", "rate_gbps.bpsk"),
@@ -115,6 +117,13 @@ def test_spec_built_in_code_is_validated():
         RunSpec(table_path="t.csv", update_interval_s=1e-300)
     for key in ("duration_s", "update_interval_s", "generations_per_interval"):
         assert key in str(err.value)
+
+
+def test_single_dimension_mdpc_budget_rejected_when_built():
+    # Built only, never run: t_mdpc = 0 gives n = 1, which the optimizer
+    # chose at 0.5 m and MdpcCodec then refused mid-run.
+    with pytest.raises(SpecError, match="t_mdpc"):
+        RunSpec(table_path="t.csv", t_mdpc=0, t_rs=8)
 
 
 @pytest.mark.parametrize("name", ["epsilon", "rate_gbps"])

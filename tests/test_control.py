@@ -1,7 +1,12 @@
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import brute_force_selection
 from thzlink.control import (DEFAULT_EPSILON, AdaptiveController, BerMessage,
-                             Candidate, EpsilonPolicy, LinkConfig,
+                             Candidate, LinkConfig,
                              OptimizerParams, SCHEME_MDPC, SCHEME_RS,
                              complexity_units, estimate_distance,
                              fallback_config, initial_link_config,
@@ -66,6 +71,9 @@ def test_mdpc_candidates_worked_examples():
     assert not any(c.feasible for c in mdpc_candidates(flat(0.2), PARAMS))
     zero = mdpc_candidates(flat(0.0), PARAMS)
     assert all(c.m == PARAMS.m_max for c in zero)
+    # t / p_e overflows to inf at a subnormal p_e, and int(inf) raised.
+    tiny = mdpc_candidates(flat(5e-324), PARAMS)
+    assert all(c.m == PARAMS.m_max for c in tiny)
 
 
 def test_mdpc_candidates_match_scan_oracle(rng):
@@ -94,6 +102,62 @@ def test_mdpc_dims_from_correction_budget():
     assert OptimizerParams(t_mdpc=7).mdpc_dims() == 4
     with pytest.raises(ValueError):
         OptimizerParams(t_mdpc=2).mdpc_dims()
+
+
+@pytest.mark.parametrize("kwargs,key", [
+    ({"t_mdpc": 0}, "t_mdpc"),  # n = 1: no MDPC code has a single dimension
+    ({"t_mdpc": -1}, "t_mdpc"),
+    ({"t_mdpc": 2}, "t_mdpc"),
+    ({"t_rs": 0}, "t_rs"),
+    ({"s_min": 1}, "s_min"),
+    ({"s_max": 13}, "s_max"),  # no field, so no codec, past s = 12
+    ({"s_min": 5, "s_max": 4}, "s_min"),
+    ({"m_max": 1}, "m_max"),
+])
+def test_optimizer_params_reject_bad_values(kwargs, key):
+    with pytest.raises(ValueError, match=f"invalid {key}"):
+        OptimizerParams(**kwargs)
+
+
+def test_optimizer_params_are_frozen():
+    params = OptimizerParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.t_mdpc = 0
+
+
+# -- selection against a full enumeration --------------------------------------
+
+
+@st.composite
+def optimizer_cases(draw):
+    """A random monotone table (zeros included), a grid distance, rates with
+    ties, and random valid optimizer parameters."""
+    rows = draw(st.integers(1, 3))
+    ber = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+    columns = {mod: sorted(draw(st.lists(ber, min_size=rows, max_size=rows)))
+               for mod in MODULATIONS}
+    table = BerTable([float(d) for d in range(1, rows + 1)], columns)
+    distance = float(draw(st.integers(1, rows)))
+    rates = {mod: draw(st.sampled_from([7.04, 14.08, 28.16])) for mod in MODULATIONS}
+    s_min = draw(st.integers(2, 12))
+    params = OptimizerParams(t_mdpc=draw(st.sampled_from([1, 3, 7])),
+                             t_rs=draw(st.integers(1, 8)),
+                             s_min=s_min, s_max=draw(st.integers(s_min, 12)),
+                             m_max=draw(st.integers(2, 1024)))
+    return table, distance, rates, params
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(optimizer_cases())
+def test_optimize_for_distance_matches_full_enumeration(case):
+    table, distance, rates, params = case
+    _, chosen = optimize_for_distance(table, distance, rates, params)
+    want = brute_force_selection(table, distance, rates, params)
+    if want is None:
+        assert chosen == fallback_config(rates)
+    else:
+        assert (chosen.scheme, chosen.modulation, chosen.k_bits,
+                chosen.r_bits) == want
 
 
 # -- RS candidates ------------------------------------------------------------
@@ -312,14 +376,15 @@ def test_controller_config_matches_one_shot_optimizer(default_table):
 def test_controller_epsilon_follows_current_modulation(default_table):
     # Thresholds differ per modulation; a delta between the BPSK and 16QAM
     # epsilons must be judged by the configured modulation's value.
-    policy = EpsilonPolicy({Modulation.BPSK: 1e-3, Modulation.QPSK: 1e-3,
-                            Modulation.PSK8: 1e-3, Modulation.QAM16: 1e-6})
-    ctl = make_controller(default_table, policy=policy)
+    epsilon = {Modulation.BPSK: 1e-3, Modulation.QPSK: 1e-3,
+               Modulation.PSK8: 1e-3, Modulation.QAM16: 1e-6}
+    ctl = make_controller(default_table, epsilon=epsilon)
     assert ctl.current_config.modulation is Modulation.QAM16
     action = ctl.on_ber_update(BerMessage(1e-5, 0.0))
     assert action.kind == "cleared"  # 1e-5 >= 1e-6 under 16QAM
     bpsk_cfg = LinkConfig(SCHEME_RS, Modulation.BPSK, 224, 16, 7.04, s=8)
-    ctl2 = make_controller(default_table, policy=policy, initial_config=bpsk_cfg)
+    ctl2 = make_controller(default_table, epsilon=epsilon)
+    ctl2.current_config = bpsk_cfg
     action = ctl2.on_ber_update(BerMessage(1e-5, 0.0))
     assert action.kind == "buffered"  # same delta is below the BPSK threshold
 

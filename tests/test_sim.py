@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import tail_sigma
+from helpers import distance_at, tail_sigma
 from thzlink import sim as sim_module
 from thzlink.config import RunSpec
 from thzlink.control import initial_link_config, optimize_for_distance, OptimizerParams
@@ -72,10 +72,10 @@ def test_trace_distance_interpolation():
     trace = MobilityTrace((TracePhase("dwell", 0.0, 10.0, 4.0, 4.0),
                            TracePhase("walk", 10.0, 14.0, 4.0, 8.0),
                            TracePhase("dwell", 14.0, 20.0, 8.0, 8.0)))
-    assert trace.distance_at(5.0) == 4.0
-    assert trace.distance_at(11.0) == pytest.approx(5.0)
-    assert trace.distance_at(13.0) == pytest.approx(7.0)
-    assert trace.distance_at(15.0) == 8.0
+    assert distance_at(trace, 5.0) == 4.0
+    assert distance_at(trace, 11.0) == pytest.approx(5.0)
+    assert distance_at(trace, 13.0) == pytest.approx(7.0)
+    assert distance_at(trace, 15.0) == 8.0
 
 
 def test_trace_rejects_bad_duration():
