@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,25 @@ def test_optimize_matches_library(table_csv, capsys):
     out = capsys.readouterr().out
     assert "selected: RS(12,3)/BPSK" in out
     assert out.count("infeasible") == 6  # QPSK/8PSK/16QAM for both schemes
+
+
+@pytest.mark.parametrize("args,digest", [
+    (("--distance", 0.5),
+     "c8a3951d0303a145dd4f19d089293f4145ff3ce12e13593a9a5c02adc5defd8d"),
+    (("--distance", 3.0),
+     "40995504562a888b316d7f4037db6c0fb5a504dd965cdafb407d8924b3c570e0"),
+    (("--distance", 12.5),
+     "acd32516e7147a0945ff88f34a10ac5fb41b7b38c2a790e63639c31b0f2ed34e"),
+    (("--distance", 20),
+     "54eb8b3f45949bae6fbf6486d369114e5306fa2e0ae75f03dade6c8df6db53ae"),
+    (("--distance", 12.5, "--t-rs", 3, "--t-mdpc", 3, "--s-min", 2),
+     "bfc3b773f02a96243fdefff6c5f9aa7ed492fd3bb6d86fc100ed0600a338d7fd"),
+])
+def test_optimize_report_is_golden(table_csv, capsys, args, digest):
+    # The whole report, byte for byte: every candidate line and the choice.
+    assert run_cli("optimize", "--table", table_csv, *args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_optimize_out_of_range_distance(table_csv, capsys):

@@ -160,6 +160,42 @@ def test_optimize_for_distance_matches_full_enumeration(case):
                 chosen.r_bits) == want
 
 
+def geometry(candidates):
+    """(scheme, modulation, k_bits, r_bits, s, m, n) per feasible candidate,
+    (scheme, modulation) per infeasible one."""
+    return [(c.scheme, c.modulation, c.k_bits, c.r_bits, c.s, c.m, c.n)
+            if c.feasible else (c.scheme, c.modulation) for c in candidates]
+
+
+def test_optimize_for_distance_at_huge_side_cap():
+    # A side cap far past any float. At a subnormal p_e the MDPC search
+    # starts at m_max, and (m_max + 1) ** 2 * p_e has no float value.
+    params = OptimizerParams(m_max=10 ** 200)
+    rates = DEFAULT_DATA_RATES_GBPS
+
+    def optimize(p_e):
+        table = BerTable([1.0], {mod: [p_e] for mod in MODULATIONS})
+        return optimize_for_distance(table, 1.0, rates, params)
+
+    big = 10 ** 200
+    mdpc_big = (big ** 2, 2 * big + 1, None, big, 2)
+    rs_12 = (49116, 24, 12, None, None)
+    cands, chosen = optimize(0.0)
+    assert geometry(cands) == (
+        [(SCHEME_MDPC, mod, *mdpc_big) for mod in MODULATIONS]
+        + [(SCHEME_RS, mod, *rs_12) for mod in MODULATIONS])
+    assert chosen == LinkConfig(SCHEME_MDPC, Modulation.QAM16, big ** 2, 2 * big + 1,
+                                rates[Modulation.QAM16], m=big, n=2)
+    cands, chosen = optimize(1e-2)
+    assert geometry(cands) == (
+        [(SCHEME_MDPC, mod, 81, 19, None, 9, 2) for mod in MODULATIONS]
+        + [(SCHEME_RS, mod, 90, 10, 5, None, None) for mod in MODULATIONS])
+    assert chosen == LinkConfig(SCHEME_RS, Modulation.QAM16, 90, 10,
+                                rates[Modulation.QAM16], s=5)
+    with pytest.raises(OverflowError):
+        optimize(5e-324)
+
+
 # -- RS candidates ------------------------------------------------------------
 
 
