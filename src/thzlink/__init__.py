@@ -1,10 +1,9 @@
 """Adaptive coding and modulation toolkit for short-range THz links."""
 
 from .config import RunSpec, SpecError, emit_spec, load_spec, parse_spec
-from .control import (AdaptiveController, BerMessage, Candidate, ControlAction,
-                      LinkConfig, OptimizerParams, complexity_units,
-                      estimate_distance, mdpc_candidates, optimize_for_distance,
-                      rs_candidates, select_config)
+from .control import (AdaptiveController, BerMessage, ControlAction, LinkConfig,
+                      OptimizerParams, candidates, complexity_units,
+                      estimate_distance, optimize_for_distance, select_config)
 from .gf import GF, get_field
 from .mdpc import MdpcCodec
 from .modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
@@ -17,14 +16,13 @@ from .tablegen import TableModel, generate_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveController", "BerMessage", "BerTable", "Candidate",
-    "ControlAction", "DEFAULT_DATA_RATES_GBPS", "GF",
-    "LinkConfig", "LinkSimulation", "MODULATIONS", "MdpcCodec",
-    "MetricsRecord", "MobilityTrace", "Modulation", "OptimizerParams",
-    "ReedSolomonCodec", "ResidualStats", "RunSpec", "SpecError", "TableModel",
-    "complexity_units", "emit_spec", "estimate_distance", "generate_table",
-    "generate_trace", "get_field", "load_spec", "mdpc_candidates",
-    "optimize_for_distance", "parse_spec", "residual_error_experiment",
-    "rs_candidates", "run_simulation", "select_config", "symbol_error_prob",
-    "transmit",
+    "AdaptiveController", "BerMessage", "BerTable", "ControlAction",
+    "DEFAULT_DATA_RATES_GBPS", "GF", "LinkConfig", "LinkSimulation",
+    "MODULATIONS", "MdpcCodec", "MetricsRecord", "MobilityTrace", "Modulation",
+    "OptimizerParams", "ReedSolomonCodec", "ResidualStats", "RunSpec",
+    "SpecError", "TableModel", "candidates", "complexity_units", "emit_spec",
+    "estimate_distance", "generate_table", "generate_trace", "get_field",
+    "load_spec", "optimize_for_distance", "parse_spec",
+    "residual_error_experiment", "run_simulation", "select_config",
+    "symbol_error_prob", "transmit",
 ]

@@ -94,22 +94,20 @@ def _cmd_optimize(args) -> int:
     params = OptimizerParams(**{f.name: getattr(args, f.name)
                                 for f in fields(OptimizerParams)})
     table = BerTable.from_csv(args.table)
-    rates = DEFAULT_DATA_RATES_GBPS
-    candidates, chosen = optimize_for_distance(table, args.distance, rates, params)
+    candidates, chosen = optimize_for_distance(table, args.distance,
+                                               DEFAULT_DATA_RATES_GBPS, params)
     print(f"distance {args.distance:g} m")
     for mod in MODULATIONS:
         print(f"  p_e[{mod.label}] = {table.lookup(args.distance, mod):.6g}")
     print("candidates:")
-    for cand in candidates:
-        tag = f"  {cand.scheme:4s} {cand.modulation.label:5s}"
-        if not cand.feasible:
+    for (scheme, mod), cand in candidates.items():
+        tag = f"  {scheme:4s} {mod.label:5s}"
+        if cand is None:
             print(f"{tag} infeasible")
             continue
-        rate = cand.code_rate
-        th = rate * rates[cand.modulation]
         geom = f"s={cand.s}" if cand.s is not None else f"m={cand.m},n={cand.n}"
         print(f"{tag} K={cand.k_bits} R={cand.r_bits} {geom} "
-              f"R_F={rate:.6f} TH={th:.4f} Gbps")
+              f"R_F={cand.code_rate:.6f} TH={cand.throughput_gbps:.4f} Gbps")
     print(f"selected: {chosen.describe()} K={chosen.k_bits} R={chosen.r_bits} "
           f"R_F={chosen.code_rate:.6f} TH={chosen.throughput_gbps:.4f} Gbps")
     return 0

@@ -90,26 +90,6 @@ class LinkConfig:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """One optimizer candidate: a scheme/modulation pair with its geometry."""
-
-    scheme: str
-    modulation: Modulation
-    feasible: bool
-    k_bits: int = 0
-    r_bits: int = 0
-    s: int | None = None
-    m: int | None = None
-    n: int | None = None
-
-    @property
-    def code_rate(self) -> float:
-        if not self.feasible:
-            return 0.0
-        return self.k_bits / (self.k_bits + self.r_bits)
-
-
-@dataclass(frozen=True)
 class OptimizerParams:
     """Correction budgets and geometry ranges of the optimizer.
 
@@ -159,32 +139,32 @@ def estimate_distance(ber_m: float, mod: Modulation, table: BerTable) -> float:
     return float(table.distances[hits[-1]])
 
 
-def _max_mdpc_side(p_e: float, t_bits: int, n: int, m_max: int) -> int | None:
-    """Largest m with (m+1)^n * p_e <= t_bits, or None when even m=2 fails."""
-    if p_e <= 0.0:
-        return m_max
-    # t_bits / p_e overflows to inf for a subnormal p_e; min() caps it first.
-    m = int(min((t_bits / p_e) ** (1.0 / n), m_max + 1)) - 1
-    while m < m_max and (m + 2) ** n * p_e <= t_bits:
-        m += 1
-    while m >= 2 and (m + 1) ** n * p_e > t_bits:
-        m -= 1
-    return m if m >= 2 else None
-
-
-def mdpc_candidates(p_by_mod: dict, params: OptimizerParams) -> list[Candidate]:
-    """Best MDPC geometry per modulation for the given error probabilities."""
-    n = params.mdpc_dims()
-    out = []
-    for mod in MODULATIONS:
-        m = _max_mdpc_side(p_by_mod[mod], params.t_mdpc, n, params.m_max)
-        if m is None:
-            out.append(Candidate(SCHEME_MDPC, mod, False))
+def _largest_fitting(lo: int, hi: int, fits) -> int | None:
+    """Largest x in [lo, hi] with fits(x), for a fits that holds up to some x
+    and fails past it; None when fits(lo) fails or the range is empty."""
+    if lo > hi or not fits(lo):
+        return None
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
         else:
-            k = m ** n
-            out.append(Candidate(SCHEME_MDPC, mod, True, k_bits=k,
-                                 r_bits=(m + 1) ** n - k, m=m, n=n))
-    return out
+            hi = mid - 1
+    return lo
+
+
+def _mdpc_side(p_e: float, params: OptimizerParams) -> int | None:
+    """Largest side m <= m_max with (m+1)^n * p_e <= t_mdpc."""
+    n = params.mdpc_dims()
+
+    def fits(m):
+        try:
+            return (m + 1) ** n * p_e <= params.t_mdpc
+        except OverflowError:  # (m+1)^n has no float, so the product is inf
+            return False
+
+    # A huge (m+1)^n overflows even against 0.0, where every side fits.
+    return params.m_max if p_e == 0.0 else _largest_fitting(2, params.m_max, fits)
 
 
 def rs_code_for_symbol_size(p_e: float, t_symbols: int, s: int) -> tuple[int, int] | None:
@@ -193,42 +173,30 @@ def rs_code_for_symbol_size(p_e: float, t_symbols: int, s: int) -> tuple[int, in
     Requires the codeword length L to satisfy L * P_s <= t, stay within
     [2^(s-1), 2^s - 1], and leave room for at least one data symbol.
     """
-    r_bits = 2 * s * t_symbols
     p_sym = symbol_error_prob(p_e, s)
-    l_max = 2 ** s - 1
-    l_min = 2 ** (s - 1)
-    if p_sym <= 0.0:
-        length = l_max
-    else:
-        length = min(l_max, int(t_symbols / p_sym))
-        while length < l_max and (length + 1) * p_sym <= t_symbols:
-            length += 1
-        while length > 0 and length * p_sym > t_symbols:
-            length -= 1
-    if length < l_min or length < 2 * t_symbols + 1:
+    length = _largest_fitting(max(2 ** (s - 1), 2 * t_symbols + 1), 2 ** s - 1,
+                              lambda n_sym: n_sym * p_sym <= t_symbols)
+    if length is None:
         return None
-    return s * (length - 2 * t_symbols), r_bits
+    return s * (length - 2 * t_symbols), 2 * s * t_symbols
 
 
-def rs_candidates(p_by_mod: dict, params: OptimizerParams) -> list[Candidate]:
-    """Best RS symbol size per modulation, maximizing the code rate."""
-    out = []
+def candidates(p_by_mod: dict, rates: dict,
+               params: OptimizerParams) -> dict[tuple, LinkConfig | None]:
+    """Best configuration per (scheme, modulation), None where none is
+    feasible: MDPC first, then RS, each in ``MODULATIONS`` order."""
+    n = params.mdpc_dims()
+    out = {}
     for mod in MODULATIONS:
-        best = None
-        for s in range(params.s_min, params.s_max + 1):
-            code = rs_code_for_symbol_size(p_by_mod[mod], params.t_rs, s)
-            if code is None:
-                continue
-            k_bits, r_bits = code
-            rate = k_bits / (k_bits + r_bits)
-            if best is None or rate > best[0]:
-                best = (rate, s, k_bits, r_bits)
-        if best is None:
-            out.append(Candidate(SCHEME_RS, mod, False))
-        else:
-            _, s, k_bits, r_bits = best
-            out.append(Candidate(SCHEME_RS, mod, True, k_bits=k_bits,
-                                 r_bits=r_bits, s=s))
+        m = _mdpc_side(p_by_mod[mod], params)
+        out[SCHEME_MDPC, mod] = None if m is None else LinkConfig(
+            SCHEME_MDPC, mod, m ** n, (m + 1) ** n - m ** n, rates[mod], m=m, n=n)
+    for mod in MODULATIONS:
+        codes = [LinkConfig(SCHEME_RS, mod, *code, rates[mod], s=s)
+                 for s in range(params.s_min, params.s_max + 1)
+                 if (code := rs_code_for_symbol_size(p_by_mod[mod], params.t_rs, s))]
+        # The highest code rate; ties go to the smaller symbol size.
+        out[SCHEME_RS, mod] = max(codes, key=lambda c: c.code_rate, default=None)
     return out
 
 
@@ -238,33 +206,26 @@ def fallback_config(rates: dict) -> LinkConfig:
                       rates[Modulation.BPSK], m=2, n=2)
 
 
-def select_config(candidates: list[Candidate], rates: dict) -> LinkConfig:
-    """Pick the candidate with the highest throughput.
+def select_config(configs, rates: dict) -> LinkConfig:
+    """Pick the feasible candidate (not None) with the highest throughput.
 
     Ties fall back to, in order: higher code rate, RS over MDPC, and the
     higher-order modulation.
     """
-    feasible = [c for c in candidates if c.feasible]
+    feasible = [c for c in configs if c is not None]
     if not feasible:
         return fallback_config(rates)
-
-    def key(c: Candidate):
-        rate = c.code_rate
-        return (rate * rates[c.modulation], rate,
-                1 if c.scheme == SCHEME_RS else 0,
-                c.modulation.bits_per_symbol)
-
-    best = max(feasible, key=key)
-    return LinkConfig(best.scheme, best.modulation, best.k_bits, best.r_bits,
-                      rates[best.modulation], s=best.s, m=best.m, n=best.n)
+    return max(feasible, key=lambda c: (c.throughput_gbps, c.code_rate,
+                                        c.scheme == SCHEME_RS,
+                                        c.modulation.bits_per_symbol))
 
 
 def optimize_for_distance(table: BerTable, distance_m: float, rates: dict,
-                          params: OptimizerParams) -> tuple[list[Candidate], LinkConfig]:
+                          params: OptimizerParams) -> tuple[dict, LinkConfig]:
     """The candidate set and selection for one distance; the one-shot surface."""
     p_by_mod = {mod: table.lookup(distance_m, mod) for mod in MODULATIONS}
-    candidates = mdpc_candidates(p_by_mod, params) + rs_candidates(p_by_mod, params)
-    return candidates, select_config(candidates, rates)
+    cands = candidates(p_by_mod, rates, params)
+    return cands, select_config(cands.values(), rates)
 
 
 def complexity_units(n_buffer: int, n_modulations: int, n_schemes: int) -> int:

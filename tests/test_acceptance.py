@@ -12,9 +12,9 @@ import pytest
 
 from helpers import brute_force_selection, tail_sigma
 from thzlink.config import RunSpec
-from thzlink.control import (AdaptiveController, BerMessage, OptimizerParams,
-                             complexity_units, mdpc_candidates, rs_candidates,
-                             select_config)
+from thzlink.control import (SCHEME_MDPC, SCHEME_RS, AdaptiveController,
+                             BerMessage, OptimizerParams, candidates,
+                             complexity_units, select_config)
 from thzlink.mdpc import MdpcCodec
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, Modulation
 from thzlink.rs import ReedSolomonCodec, symbols_to_bits
@@ -92,9 +92,8 @@ def test_criterion_3_optimizer_oracle_equivalence(default_table):
     rates = DEFAULT_DATA_RATES_GBPS
     for distance in default_table.distances:
         p_by_mod = {mod: default_table.lookup(distance, mod) for mod in MODULATIONS}
-        candidates = (mdpc_candidates(p_by_mod, params)
-                      + rs_candidates(p_by_mod, params))
-        chosen = select_config(candidates, rates)
+        cands = candidates(p_by_mod, rates, params)
+        chosen = select_config(cands.values(), rates)
         expected = brute_force_selection(default_table, distance, rates, params)
         got = (chosen.scheme, chosen.modulation, chosen.k_bits, chosen.r_bits)
         assert got == expected, f"divergence at d={distance}"
@@ -201,10 +200,10 @@ def test_criterion_9_residual_error_property(default_table):
     p_e = default_table.lookup(distance, Modulation.BPSK)
     p_by_mod = {mod: p_e for mod in MODULATIONS}
     rates = {mod: DEFAULT_DATA_RATES_GBPS[Modulation.BPSK] for mod in MODULATIONS}
+    cands = candidates(p_by_mod, rates, params)
     lines = []
-    for codec_kind, cands in (("RS", rs_candidates(p_by_mod, params)),
-                              ("MDPC", mdpc_candidates(p_by_mod, params))):
-        config = select_config([cands[0]], rates)
+    for codec_kind in (SCHEME_RS, SCHEME_MDPC):
+        config = select_config([cands[codec_kind, Modulation.BPSK]], rates)
         assert config.scheme == codec_kind
         stats = residual_error_experiment(config, p_e, generations=1_000_000,
                                           seed=SEED)

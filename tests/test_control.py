@@ -1,18 +1,17 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_selection
+from helpers import brute_force_candidates, brute_force_selection
 from thzlink.control import (DEFAULT_EPSILON, AdaptiveController, BerMessage,
-                             Candidate, LinkConfig,
-                             OptimizerParams, SCHEME_MDPC, SCHEME_RS,
-                             complexity_units, estimate_distance,
-                             fallback_config, initial_link_config,
-                             mdpc_candidates, optimize_for_distance,
-                             rs_candidates, rs_code_for_symbol_size,
-                             select_config)
+                             LinkConfig, OptimizerParams, SCHEME_MDPC,
+                             SCHEME_RS, candidates, complexity_units,
+                             estimate_distance, fallback_config,
+                             initial_link_config, optimize_for_distance,
+                             rs_code_for_symbol_size, select_config)
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable,
                            Modulation, symbol_error_prob)
 
@@ -21,6 +20,17 @@ PARAMS = OptimizerParams()
 
 def flat(p):
     return {mod: p for mod in MODULATIONS}
+
+
+def scheme_candidates(scheme, p, params=PARAMS):
+    """One scheme's candidates at error probability p on every modulation,
+    in modulation order."""
+    cands = candidates(flat(p), DEFAULT_DATA_RATES_GBPS, params)
+    return [cands[scheme, mod] for mod in MODULATIONS]
+
+
+def code_rate(cand):
+    return 0.0 if cand is None else cand.code_rate
 
 
 # -- distance estimation ------------------------------------------------------
@@ -65,33 +75,33 @@ def mdpc_scan_oracle(p, t, n, m_max):
 
 
 def test_mdpc_candidates_worked_examples():
-    cands = mdpc_candidates(flat(1e-4), PARAMS)
+    cands = scheme_candidates(SCHEME_MDPC, 1e-4)
     for c in cands:
-        assert c.feasible and (c.m, c.k_bits, c.r_bits) == (99, 9801, 199)
-    assert not any(c.feasible for c in mdpc_candidates(flat(0.2), PARAMS))
-    zero = mdpc_candidates(flat(0.0), PARAMS)
+        assert c is not None and (c.m, c.k_bits, c.r_bits) == (99, 9801, 199)
+    assert all(c is None for c in scheme_candidates(SCHEME_MDPC, 0.2))
+    zero = scheme_candidates(SCHEME_MDPC, 0.0)
     assert all(c.m == PARAMS.m_max for c in zero)
     # t / p_e overflows to inf at a subnormal p_e, and int(inf) raised.
-    tiny = mdpc_candidates(flat(5e-324), PARAMS)
+    tiny = scheme_candidates(SCHEME_MDPC, 5e-324)
     assert all(c.m == PARAMS.m_max for c in tiny)
 
 
 def test_mdpc_candidates_match_scan_oracle(rng):
     for _ in range(60):
         p = float(10 ** rng.uniform(-6, -0.3))
-        got = mdpc_candidates(flat(p), PARAMS)[0]
+        got = scheme_candidates(SCHEME_MDPC, p)[0]
         want = mdpc_scan_oracle(p, PARAMS.t_mdpc, 2, PARAMS.m_max)
         if want is None:
-            assert not got.feasible
+            assert got is None
         else:
-            assert got.feasible and got.m == want
+            assert got is not None and got.m == want
 
 
 def test_mdpc_candidates_satisfy_constraint(rng):
     for _ in range(40):
         p = float(10 ** rng.uniform(-6, -0.5))
-        for c in mdpc_candidates(flat(p), PARAMS):
-            if c.feasible:
+        for c in scheme_candidates(SCHEME_MDPC, p):
+            if c is not None:
                 assert (c.m + 1) ** c.n * p <= PARAMS.t_mdpc
                 assert c.k_bits == c.m ** c.n
 
@@ -151,7 +161,17 @@ def optimizer_cases(draw):
 @given(optimizer_cases())
 def test_optimize_for_distance_matches_full_enumeration(case):
     table, distance, rates, params = case
-    _, chosen = optimize_for_distance(table, distance, rates, params)
+    cands, chosen = optimize_for_distance(table, distance, rates, params)
+    want_cands = brute_force_candidates(table, distance, rates, params)
+    assert list(cands) == list(want_cands)  # same pairs, same order
+    for (scheme, mod), cand in cands.items():
+        if cand is None:
+            assert want_cands[scheme, mod] is None, (scheme, mod)
+            continue
+        assert (cand.scheme, cand.modulation) == (scheme, mod)
+        assert cand.data_rate_gbps == rates[mod]
+        assert (cand.k_bits, cand.r_bits, cand.s, cand.m,
+                cand.n) == want_cands[scheme, mod], (scheme, mod)
     want = brute_force_selection(table, distance, rates, params)
     if want is None:
         assert chosen == fallback_config(rates)
@@ -160,16 +180,16 @@ def test_optimize_for_distance_matches_full_enumeration(case):
                 chosen.r_bits) == want
 
 
-def geometry(candidates):
+def geometry(cands):
     """(scheme, modulation, k_bits, r_bits, s, m, n) per feasible candidate,
     (scheme, modulation) per infeasible one."""
     return [(c.scheme, c.modulation, c.k_bits, c.r_bits, c.s, c.m, c.n)
-            if c.feasible else (c.scheme, c.modulation) for c in candidates]
+            if c is not None else pair for pair, c in cands.items()]
 
 
 def test_optimize_for_distance_at_huge_side_cap():
-    # A side cap far past any float. At a subnormal p_e the MDPC search
-    # starts at m_max, and (m_max + 1) ** 2 * p_e has no float value.
+    # A side cap far past any float. The search may not walk to m_max one
+    # step at a time, and (m + 1) ** 2 has no float value past about 2^512.
     params = OptimizerParams(m_max=10 ** 200)
     rates = DEFAULT_DATA_RATES_GBPS
 
@@ -192,8 +212,18 @@ def test_optimize_for_distance_at_huge_side_cap():
         + [(SCHEME_RS, mod, 90, 10, 5, None, None) for mod in MODULATIONS])
     assert chosen == LinkConfig(SCHEME_RS, Modulation.QAM16, 90, 10,
                                 rates[Modulation.QAM16], s=5)
-    with pytest.raises(OverflowError):
-        optimize(5e-324)
+    # Every side fits at a subnormal p_e, up to the largest whose (m + 1) ** 2
+    # is a finite float: 2^1024 - 2^970 rounds up to 2^1024.
+    top = math.isqrt(2 ** 1024 - 2 ** 970 - 1) - 1
+    cands, chosen = optimize(5e-324)
+    assert geometry(cands) == (
+        [(SCHEME_MDPC, mod, top ** 2, 2 * top + 1, None, top, 2) for mod in MODULATIONS]
+        + [(SCHEME_RS, mod, *rs_12) for mod in MODULATIONS])
+    assert chosen == cands[SCHEME_MDPC, Modulation.QAM16]
+    # The step-by-step search never ended here.
+    cands, _ = optimize(1e-300)
+    m = cands[SCHEME_MDPC, Modulation.BPSK].m
+    assert (m + 1) ** 2 * 1e-300 <= 1 < (m + 2) ** 2 * 1e-300
 
 
 # -- RS candidates ------------------------------------------------------------
@@ -224,20 +254,20 @@ def test_rs_code_worked_examples():
 def test_rs_candidates_match_scan_oracle(rng):
     probs = [1e-5] + [float(10 ** rng.uniform(-7, -0.5)) for _ in range(40)]
     for p in probs:
-        got = rs_candidates(flat(p), PARAMS)[0]
+        got = scheme_candidates(SCHEME_RS, p)[0]
         want = rs_scan_oracle(p, PARAMS.t_rs, PARAMS.s_min, PARAMS.s_max)
         if want is None:
-            assert not got.feasible
+            assert got is None
         else:
-            assert got.feasible
+            assert got is not None
             assert (got.s, got.k_bits, got.r_bits) == want[1:]
 
 
 def test_rs_candidates_satisfy_constraints(rng):
     for _ in range(40):
         p = float(10 ** rng.uniform(-7, -0.5))
-        for c in rs_candidates(flat(p), PARAMS):
-            if not c.feasible:
+        for c in scheme_candidates(SCHEME_RS, p):
+            if c is None:
                 continue
             length = (c.k_bits + c.r_bits) // c.s
             assert length * symbol_error_prob(p, c.s) <= PARAMS.t_rs
@@ -248,8 +278,9 @@ def test_rs_candidates_satisfy_constraints(rng):
 def test_code_rate_monotone_in_error_probability(rng):
     # For a fixed scheme the emitted code rate never improves as p_e grows.
     probs = sorted(float(10 ** rng.uniform(-7, -0.5)) for _ in range(25))
-    mdpc_rates = [mdpc_candidates(flat(p), PARAMS)[0].code_rate for p in probs]
-    rs_rates = [rs_candidates(flat(p), PARAMS)[0].code_rate for p in probs]
+    # An infeasible candidate reads as code rate 0.0.
+    mdpc_rates = [code_rate(scheme_candidates(SCHEME_MDPC, p)[0]) for p in probs]
+    rs_rates = [code_rate(scheme_candidates(SCHEME_RS, p)[0]) for p in probs]
     assert all(a >= b for a, b in zip(mdpc_rates, mdpc_rates[1:]))
     assert all(a >= b for a, b in zip(rs_rates, rs_rates[1:]))
 
@@ -258,41 +289,45 @@ def test_code_rate_monotone_in_error_probability(rng):
 
 
 def test_select_single_feasible_candidate():
-    cand = Candidate(SCHEME_RS, Modulation.QPSK, True, k_bits=40, r_bits=8, s=4)
-    cfg = select_config([cand], DEFAULT_DATA_RATES_GBPS)
+    cand = LinkConfig(SCHEME_RS, Modulation.QPSK, 40, 8,
+                      DEFAULT_DATA_RATES_GBPS[Modulation.QPSK], s=4)
+    cfg = select_config([None, cand], DEFAULT_DATA_RATES_GBPS)
+    assert cfg is cand
     assert cfg.scheme == SCHEME_RS and cfg.modulation is Modulation.QPSK
     assert cfg.k_bits == 40 and cfg.s == 4
 
 
 def test_select_prefers_higher_data_rate_at_equal_code_rate():
-    low = Candidate(SCHEME_RS, Modulation.BPSK, True, k_bits=40, r_bits=8, s=4)
-    high = Candidate(SCHEME_RS, Modulation.QAM16, True, k_bits=40, r_bits=8, s=4)
-    cfg = select_config([low, high], DEFAULT_DATA_RATES_GBPS)
+    rates = DEFAULT_DATA_RATES_GBPS
+    low = LinkConfig(SCHEME_RS, Modulation.BPSK, 40, 8, rates[Modulation.BPSK], s=4)
+    high = LinkConfig(SCHEME_RS, Modulation.QAM16, 40, 8, rates[Modulation.QAM16], s=4)
+    cfg = select_config([low, high], rates)
     assert cfg.modulation is Modulation.QAM16
 
 
 def test_select_tie_breaks():
     rates = {mod: 1.0 for mod in MODULATIONS}  # equal throughput everywhere
-    mdpc = Candidate(SCHEME_MDPC, Modulation.BPSK, True, k_bits=4, r_bits=5, m=2, n=2)
-    rs_same = Candidate(SCHEME_RS, Modulation.BPSK, True, k_bits=4, r_bits=5, s=1)
+    mdpc = LinkConfig(SCHEME_MDPC, Modulation.BPSK, 4, 5, 1.0, m=2, n=2)
+    rs_same = LinkConfig(SCHEME_RS, Modulation.BPSK, 4, 5, 1.0, s=1)
     # equal TH and R_F: RS wins over MDPC
     assert select_config([mdpc, rs_same], rates).scheme == SCHEME_RS
     # equal TH, different R_F: higher code rate wins
-    better = Candidate(SCHEME_MDPC, Modulation.BPSK, True, k_bits=9, r_bits=7, m=3, n=2)
     rates_th = {Modulation.BPSK: 1.0, Modulation.QPSK: (9 / 16) / (4 / 9),
                 Modulation.PSK8: 1.0, Modulation.QAM16: 1.0}
-    low_rate = Candidate(SCHEME_MDPC, Modulation.QPSK, True, k_bits=4, r_bits=5, m=2, n=2)
+    better = LinkConfig(SCHEME_MDPC, Modulation.BPSK, 9, 7,
+                        rates_th[Modulation.BPSK], m=3, n=2)
+    low_rate = LinkConfig(SCHEME_MDPC, Modulation.QPSK, 4, 5,
+                          rates_th[Modulation.QPSK], m=2, n=2)
     chosen = select_config([better, low_rate], rates_th)
     assert chosen.k_bits == 9
     # equal everything except modulation order: higher-order modulation wins
-    a = Candidate(SCHEME_RS, Modulation.QPSK, True, k_bits=4, r_bits=5, s=1)
-    b = Candidate(SCHEME_RS, Modulation.QAM16, True, k_bits=4, r_bits=5, s=1)
+    a = LinkConfig(SCHEME_RS, Modulation.QPSK, 4, 5, 1.0, s=1)
+    b = LinkConfig(SCHEME_RS, Modulation.QAM16, 4, 5, 1.0, s=1)
     assert select_config([a, b], rates).modulation is Modulation.QAM16
 
 
 def test_select_fallback_when_nothing_feasible():
-    cands = [Candidate(SCHEME_RS, mod, False) for mod in MODULATIONS]
-    cfg = select_config(cands, DEFAULT_DATA_RATES_GBPS)
+    cfg = select_config([None] * len(MODULATIONS), DEFAULT_DATA_RATES_GBPS)
     assert cfg == fallback_config(DEFAULT_DATA_RATES_GBPS)
     assert cfg.scheme == SCHEME_MDPC and cfg.modulation is Modulation.BPSK
     assert (cfg.m, cfg.n, cfg.k_bits, cfg.r_bits) == (2, 2, 4, 5)
