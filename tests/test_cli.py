@@ -120,6 +120,12 @@ def test_optimize_out_of_range_distance(table_csv, capsys):
     assert "outside table range" in capsys.readouterr().err
 
 
+def test_optimize_nan_distance(table_csv, capsys):
+    # NaN compared false against both ends and exited 0 with the 20 m choice.
+    assert run_cli("optimize", "--table", table_csv, "--distance", "nan") == 2
+    assert "outside table range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [("--s-max", 16), ("--s-min", 1),
                                         ("--t-rs", 0), ("--t-mdpc", 0),
                                         ("--m-max", 1)])

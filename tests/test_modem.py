@@ -44,6 +44,9 @@ def test_lookup_rejects_out_of_range():
         table.lookup(0.5, Modulation.BPSK)
     with pytest.raises(ValueError):
         table.lookup(3.5, Modulation.BPSK)
+    # NaN compares false both ways; searchsorted put it past the last row.
+    with pytest.raises(ValueError, match="outside table range"):
+        table.lookup(float("nan"), Modulation.BPSK)
 
 
 def test_lookup_zero_table_is_zero():
