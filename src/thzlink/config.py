@@ -15,7 +15,8 @@ import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
-from .control import DEFAULT_BUFFER_SIZE, DEFAULT_EPSILON, OptimizerParams
+from .control import (DEFAULT_BUFFER_SIZE, DEFAULT_EPSILON, OptimizerParams,
+                      checked_per_modulation)
 from .mdpc import DEFAULT_MAX_ITERATIONS
 from .modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, Modulation
 
@@ -197,12 +198,11 @@ def _validate(spec: RunSpec) -> None:
             f"asks for {generations:.3g} generations, more than {MAX_GENERATIONS:.0e}")
     if spec.ber_estimator not in BER_ESTIMATORS:
         bad("ber_estimator", f"must be one of {', '.join(BER_ESTIMATORS)}")
-    for mod in MODULATIONS:
+    try:
         for name in _MAP_NAMES:
-            key = f"{name}.{_mod_key(mod)}"
-            if mod not in getattr(spec, name):
-                bad(key, "missing")
-            positive(key, getattr(spec, name)[mod])
+            checked_per_modulation(name, getattr(spec, name))
+    except ValueError as exc:  # names the key already
+        raise SpecError(str(exc)) from exc
 
 
 def parse_spec(text: str, source: str = "<config>") -> RunSpec:

@@ -125,6 +125,21 @@ class OptimizerParams:
         return (self.t_mdpc + 1).bit_length()
 
 
+def checked_per_modulation(name: str, values: dict) -> dict:
+    """A copy of a per-modulation map, checked: every modulation present with
+    a finite positive value. Raises ``ValueError("invalid <name>.<mod>: ...")``,
+    e.g. ``epsilon.16qam``."""
+    for mod in MODULATIONS:
+        key = f"{name}.{mod.label.lower()}"
+        if mod not in values:
+            raise ValueError(f"invalid {key}: missing")
+        if not math.isfinite(values[mod]):
+            raise ValueError(f"invalid {key}: must be finite")
+        if values[mod] <= 0:
+            raise ValueError(f"invalid {key}: must be positive")
+    return dict(values)
+
+
 def estimate_distance(ber_m: float, mod: Modulation, table: BerTable) -> float:
     """Grid distance whose table BER is nearest to the measured value.
 
@@ -264,8 +279,10 @@ class AdaptiveController:
             raise ValueError("buffer size must be >= 1")
         self.table = table
         # Movement threshold per modulation; the current modulation's applies.
-        self.epsilon = dict(epsilon or DEFAULT_EPSILON)
-        self.rates = dict(rates or DEFAULT_DATA_RATES_GBPS)
+        self.epsilon = checked_per_modulation(
+            "epsilon", DEFAULT_EPSILON if epsilon is None else epsilon)
+        self.rates = checked_per_modulation(
+            "rates", DEFAULT_DATA_RATES_GBPS if rates is None else rates)
         self.params = params or OptimizerParams()
         self.capacity = buffer_size
         self.current_config = initial_link_config(self.rates)

@@ -386,6 +386,23 @@ def test_controller_boot_state(default_table):
     assert ctl.current_config == initial_link_config()
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    # A partial epsilon raised KeyError on the first update under 16QAM.
+    ({"epsilon": {Modulation.BPSK: 1e-3}}, "epsilon.qpsk: missing"),
+    # An empty map silently meant the defaults.
+    ({"epsilon": {}}, "epsilon.bpsk: missing"),
+    # A partial rates map raised KeyError while building the boot config.
+    ({"rates": {Modulation.QAM16: 28.16}}, "rates.bpsk: missing"),
+    ({"epsilon": {**DEFAULT_EPSILON, Modulation.PSK8: float("nan")}},
+     "epsilon.8psk: must be finite"),
+    ({"rates": {**DEFAULT_DATA_RATES_GBPS, Modulation.QAM16: 0.0}},
+     "rates.16qam: must be positive"),
+])
+def test_controller_rejects_bad_maps_when_built(default_table, kwargs, message):
+    with pytest.raises(ValueError, match=f"invalid {message}".replace(".", "\\.")):
+        make_controller(default_table, **kwargs)
+
+
 def test_controller_clear_on_movement(default_table):
     ctl = make_controller(default_table)
     action = ctl.on_ber_update(BerMessage(0.0579, 0.0))
