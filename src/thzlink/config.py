@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 from .control import (DEFAULT_BUFFER_SIZE, DEFAULT_EPSILON, OptimizerParams,
-                      checked_per_modulation)
+                      checked_per_modulation, map_key)
 from .mdpc import DEFAULT_MAX_ITERATIONS
 from .modem import DEFAULT_DATA_RATES_GBPS, MODULATIONS, Modulation
 
@@ -34,10 +34,6 @@ MAX_GENERATIONS = 1e10
 
 class SpecError(ValueError):
     """Raised for malformed, unknown, or out-of-range spec entries."""
-
-
-def _mod_key(mod: Modulation) -> str:
-    return mod.label.lower()
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def _key_types() -> dict:
     key_types = {}
     for f in _FIELDS.values():
         if f.name in _MAP_NAMES:
-            key_types.update((f"{f.name}.{_mod_key(mod)}", float) for mod in MODULATIONS)
+            key_types.update((map_key(f.name, mod), float) for mod in MODULATIONS)
         else:
             key_types[f.name] = f.type
     return key_types

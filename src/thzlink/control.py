@@ -125,12 +125,17 @@ class OptimizerParams:
         return (self.t_mdpc + 1).bit_length()
 
 
+def map_key(name: str, mod: Modulation) -> str:
+    """The spec key of one entry of a per-modulation map, e.g. ``epsilon.16qam``."""
+    return f"{name}.{mod.label.lower()}"
+
+
 def checked_per_modulation(name: str, values: dict) -> dict:
     """A copy of a per-modulation map, checked: every modulation present with
-    a finite positive value. Raises ``ValueError("invalid <name>.<mod>: ...")``,
-    e.g. ``epsilon.16qam``."""
+    a finite positive value. Raises ``ValueError("invalid <key>: ...")``
+    naming the ``map_key``."""
     for mod in MODULATIONS:
-        key = f"{name}.{mod.label.lower()}"
+        key = map_key(name, mod)
         if mod not in values:
             raise ValueError(f"invalid {key}: missing")
         if not math.isfinite(values[mod]):
