@@ -75,7 +75,7 @@ class BerTable:
 
     def nearest_index(self, distance: float) -> int:
         d = self.distances
-        if not d[0] <= distance <= d[-1]:  # also rejects NaN
+        if not (d[0] <= distance and distance <= d[-1]):  # also rejects NaN
             raise ValueError(
                 f"distance {distance} m outside table range [{d[0]}, {d[-1]}] m")
         i = int(np.searchsorted(d, distance))
