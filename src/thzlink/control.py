@@ -174,7 +174,7 @@ def _largest_fitting(lo: int, hi: int, fits) -> int | None:
 
 
 def _mdpc_side(p_e: float, params: OptimizerParams) -> int | None:
-    """Largest side m <= m_max with (m+1)^n * p_e <= t_mdpc."""
+    """Largest side m in [2, m_max] with (m+1)^n * p_e <= t_mdpc, or None."""
     n = params.mdpc_dims()
 
     def fits(m):
