@@ -5,6 +5,7 @@ the table and the raw data rate. No waveform-level processing is modeled.
 """
 
 import enum
+import math
 
 import numpy as np
 
@@ -137,13 +138,26 @@ def symbol_error_prob(p_e: float, s: int) -> float:
 # plus positions instead of a dense Bernoulli field (identical distribution).
 SPARSE_FLIP_THRESHOLD = 64.0
 
-# A dense flip mask is drawn this many uniforms at a time through one reused
-# float64 buffer (128 KiB, cache-sized), not as one float64 field of its size.
+# Below this p_e a dense flip mask is scattered from flip positions drawn as
+# cumulative geometric gaps, which draw one value per flip (Devroye,
+# Non-Uniform Random Variate Generation, 1986: the same Bernoulli field).
+# Measured at about 19 ns per flip against 2.8 ns per uniform, they break
+# even near p_e = 0.16.
+GAP_MAX_P = 1.0 / 8.0
+
+# Dense flip masks draw this many values at a time: uniforms through one
+# reused float64 buffer, or gaps as one int64 array (128 KiB, cache-sized),
+# never a field of 8 bytes per bit.
 FLIP_CHUNK = 1 << 14
 
 
 def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
-    """Bit-flip indicator array for a BSC with crossover probability p_e."""
+    """Bit-flip indicator array for a BSC with crossover probability p_e.
+
+    Raises `ValueError` unless p_e is a number within [0, 1].
+    """
+    if not 0.0 <= p_e <= 1.0:  # also rejects NaN
+        raise ValueError(f"p_e must be within [0, 1], got {p_e!r}")
     size = int(np.prod(shape))
     if p_e <= 0.0:
         return np.zeros(shape, dtype=np.uint8)
@@ -154,6 +168,21 @@ def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
         count = rng.binomial(size, p_e)
         if count:
             mask[rng.choice(size, size=count, replace=False)] = 1
+        return mask.reshape(shape)
+    if p_e < GAP_MAX_P:
+        # Chunks cover the mean flip count plus four sigmas, so one chunk
+        # usually reaches the end of the mask.
+        mean = p_e * size
+        n = min(FLIP_CHUNK, int(mean + 4.0 * math.sqrt(mean)) + 16)
+        mask = np.zeros(size, dtype=np.uint8)
+        last = -1
+        while last < size:
+            pos = rng.geometric(p_e, n)
+            np.cumsum(pos, out=pos)
+            pos += last
+            last = int(pos[-1])
+            mask[pos[: np.searchsorted(pos, size)]] = 1
+            del pos  # so the next chunk does not coexist with this one
         return mask.reshape(shape)
     # Generator.random draws one 64-bit output per value and buffers none, so
     # the chunks give the values, and leave the generator in the state, of

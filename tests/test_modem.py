@@ -1,11 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, FLIP_CHUNK, MODULATIONS,
-                           BerTable, Modulation, sample_flip_mask,
-                           symbol_error_prob, transmit)
+from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, FLIP_CHUNK, GAP_MAX_P,
+                           MODULATIONS, SPARSE_FLIP_THRESHOLD, BerTable,
+                           Modulation, sample_flip_mask, symbol_error_prob,
+                           transmit)
 
 
 def make_table(values_by_mod=None, distances=(1.0, 2.0, 3.0)):
@@ -140,6 +142,15 @@ def test_transmit_rejects_non_bit_dtypes(rng):
     assert transmit(np.array([True, False]), 1.0, rng).tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("p_e", [float("nan"), -1e-9, -0.5, 1.0 + 1e-9, 2.0,
+                                 float("inf"), float("-inf")])
+def test_transmit_rejects_p_e_outside_unit_interval(rng, p_e):
+    # NaN and negative values used to return an all-zero mask, values above
+    # 1 an all-ones mask.
+    with pytest.raises(ValueError, match="p_e"):
+        transmit(np.zeros(100_000, dtype=np.uint8), p_e, rng)
+
+
 def test_transmit_flip_rate_within_3_sigma():
     rng = np.random.default_rng(99)
     bits = np.zeros(1_000_000, dtype=np.uint8)
@@ -192,3 +203,82 @@ def test_dense_flip_mask_allocates_about_one_byte_per_bit(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * shape[0] * shape[1]
+
+
+def _in_gap_regime(shape, p_e):
+    return p_e < GAP_MAX_P and p_e * math.prod(shape) > SPARSE_FLIP_THRESHOLD
+
+
+@pytest.mark.parametrize("shape,p_e", [
+    ((100, 3177), 3.1e-4), ((100, 49140), 0.05), ((7, FLIP_CHUNK + 3), 0.12)])
+def test_gap_flip_mask_is_reproducible(shape, p_e):
+    # Twin generators give equal masks and are left in equal states; the
+    # last case draws more than one chunk of gaps.
+    assert _in_gap_regime(shape, p_e)
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    mask = sample_flip_mask(shape, p_e, rng)
+    assert mask.dtype == np.uint8 and mask.shape == shape
+    assert np.array_equal(mask, sample_flip_mask(shape, p_e, twin))
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("shape,p_e,seed", [
+    ((100, 49140), 6e-5, 31), ((100, 3177), 3.1e-4, 32),
+    ((100, 49140), 0.05, 33), ((40, 4095), 0.12, 34)])
+def test_gap_flip_count_within_4_sigma(shape, p_e, seed):
+    # The last two shapes expect more than FLIP_CHUNK flips, so their gaps
+    # come in several chunks.
+    assert _in_gap_regime(shape, p_e)
+    size = math.prod(shape)
+    flips = int(sample_flip_mask(shape, p_e, np.random.default_rng(seed)).sum())
+    assert abs(flips - size * p_e) <= 4 * math.sqrt(size * p_e * (1 - p_e))
+
+
+def _chi_square_within_4_sigma(counts, p_e):
+    # Each count sums Bernoulli(p_e) bits, so its variance is its mean times
+    # 1 - p_e. For df this large the statistic is close to normal with mean
+    # df and variance 2 df.
+    expected = counts.mean()
+    chi2 = float(((counts - expected) ** 2).sum() / (expected * (1 - p_e)))
+    df = counts.size - 1
+    return abs(chi2 - df) <= 4 * math.sqrt(2 * df)
+
+
+@pytest.mark.parametrize("shape,p_e,draws", [
+    ((50, 997), 0.02, 40), ((64, 4099), 0.1, 20)])
+def test_gap_flip_positions_are_uniform(shape, p_e, draws):
+    # Flips summed over fixed-seed masks spread evenly over columns and over
+    # rows; the second shape draws several chunks per mask, so a position
+    # carried wrongly from one chunk to the next would skew the rows.
+    assert _in_gap_regime(shape, p_e)
+    rng = np.random.default_rng(41)
+    total = np.zeros(shape, dtype=np.int64)
+    for _ in range(draws):
+        total += sample_flip_mask(shape, p_e, rng)
+    assert _chi_square_within_4_sigma(total.sum(axis=0), p_e)
+    assert _chi_square_within_4_sigma(total.sum(axis=1), p_e)
+
+
+def test_gap_flip_mask_allocates_about_one_byte_per_bit():
+    # Gaps are drawn one chunk at a time next to the uint8 mask, not as one
+    # int64 array of every flip (about 2 MB here).
+    shape, p_e = (100, 49140), 0.05
+    assert _in_gap_regime(shape, p_e)
+    rng = np.random.default_rng(51)
+    sample_flip_mask(shape, p_e, rng)
+    tracemalloc.start()
+    try:
+        sample_flip_mask(shape, p_e, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * shape[0] * shape[1]
+
+
+def test_flip_mask_at_gap_max_p_is_one_field():
+    # GAP_MAX_P itself is drawn from uniforms.
+    shape = (3, FLIP_CHUNK + 7)
+    rng, twin = np.random.default_rng(61), np.random.default_rng(61)
+    mask = sample_flip_mask(shape, GAP_MAX_P, rng)
+    assert np.array_equal(mask, (twin.random(shape) < GAP_MAX_P).astype(np.uint8))
+    assert rng.random() == twin.random()

@@ -6,7 +6,8 @@ import pytest
 from helpers import distance_at, tail_sigma
 from thzlink import sim as sim_module
 from thzlink.config import RunSpec
-from thzlink.control import initial_link_config, optimize_for_distance, OptimizerParams
+from thzlink.control import (SCHEME_MDPC, LinkConfig, OptimizerParams,
+                             initial_link_config, optimize_for_distance)
 from thzlink.mdpc import MdpcCodec
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
                            transmit)
@@ -386,3 +387,13 @@ def test_residual_experiment_small(default_table):
     assert abs(stats.empirical_exceed_rate - stats.theoretical_tail) < 3 * tail_sigma(stats)
     assert abs(stats.data_failures / stats.generations
                - stats.theoretical_tail) < 3 * tail_sigma(stats)
+
+
+@pytest.mark.parametrize("p_e", [float("nan"), -0.01, 1.5])
+def test_residual_experiment_rejects_p_e_outside_unit_interval(p_e):
+    # MDPC(3,2) at p_e = nan used to report 0 failures in 100 generations,
+    # since a NaN p_e drew an all-zero flip mask.
+    config = LinkConfig(SCHEME_MDPC, Modulation.BPSK, 9, 7,
+                        DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], m=3, n=2)
+    with pytest.raises(ValueError, match="p_e"):
+        residual_error_experiment(config, p_e, generations=100, seed=1)
