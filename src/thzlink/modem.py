@@ -174,16 +174,20 @@ def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
         # usually reaches the end of the mask.
         mean = p_e * size
         n = min(FLIP_CHUNK, int(mean + 4.0 * math.sqrt(mean)) + 16)
-        mask = np.zeros(size, dtype=np.uint8)
+        # The mask owns its buffer, not a reshaped view of it, so that
+        # `bits ^ mask` in transmit can write into it (numpy reuses only
+        # temporaries that own their data).
+        mask = np.zeros(shape, dtype=np.uint8)
+        flat = mask.reshape(-1)
         last = -1
         while last < size:
             pos = rng.geometric(p_e, n)
             np.cumsum(pos, out=pos)
             pos += last
             last = int(pos[-1])
-            mask[pos[: np.searchsorted(pos, size)]] = 1
-            del pos  # so the next chunk does not coexist with this one
-        return mask.reshape(shape)
+            flat[pos[: np.searchsorted(pos, size)]] = 1
+            del pos  # free this chunk before the next is drawn
+        return mask
     # Generator.random draws one 64-bit output per value and buffers none, so
     # the chunks give the values, and leave the generator in the state, of
     # one rng.random(size) call.

@@ -259,16 +259,21 @@ def test_gap_flip_positions_are_uniform(shape, p_e, draws):
     assert _chi_square_within_4_sigma(total.sum(axis=1), p_e)
 
 
-def test_gap_flip_mask_allocates_about_one_byte_per_bit():
+@pytest.mark.parametrize("draw", [
+    lambda bits, p_e, rng: sample_flip_mask(bits.shape, p_e, rng), transmit],
+    ids=["sample_flip_mask", "transmit"])
+def test_gap_flip_mask_allocates_about_one_byte_per_bit(draw):
     # Gaps are drawn one chunk at a time next to the uint8 mask, not as one
-    # int64 array of every flip (about 2 MB here).
+    # int64 array of every flip (about 2 MB here), and transmit XORs the
+    # bits into the mask rather than into a second mask-sized array.
     shape, p_e = (100, 49140), 0.05
     assert _in_gap_regime(shape, p_e)
     rng = np.random.default_rng(51)
-    sample_flip_mask(shape, p_e, rng)
+    bits = np.zeros(shape, dtype=np.uint8)
+    draw(bits, p_e, rng)
     tracemalloc.start()
     try:
-        sample_flip_mask(shape, p_e, rng)
+        draw(bits, p_e, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
