@@ -259,6 +259,19 @@ def test_gap_flip_positions_are_uniform(shape, p_e, draws):
     assert _chi_square_within_4_sigma(total.sum(axis=1), p_e)
 
 
+def test_gap_flip_mask_flips_first_and_last_bit_at_p_e():
+    # Positions are 0-based: the first gap lands on bit 0 with probability
+    # p_e, and the last bit is reachable.
+    shape, p_e, draws = (1, 700), 0.1, 4000
+    assert _in_gap_regime(shape, p_e)
+    rng = np.random.default_rng(71)
+    ends = np.zeros(2, dtype=np.int64)
+    for _ in range(draws):
+        ends += sample_flip_mask(shape, p_e, rng)[0, [0, -1]]
+    sigma = math.sqrt(draws * p_e * (1 - p_e))
+    assert np.all(np.abs(ends - draws * p_e) <= 4 * sigma)
+
+
 @pytest.mark.parametrize("draw", [
     lambda bits, p_e, rng: sample_flip_mask(bits.shape, p_e, rng), transmit],
     ids=["sample_flip_mask", "transmit"])
