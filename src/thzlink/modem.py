@@ -139,10 +139,11 @@ def symbol_error_prob(p_e: float, s: int) -> float:
 SPARSE_FLIP_THRESHOLD = 64.0
 
 # Below this p_e a dense flip mask is scattered from flip positions drawn as
-# cumulative geometric gaps, which draw one value per flip (Devroye,
-# Non-Uniform Random Variate Generation, 1986: the same Bernoulli field).
-# Measured at about 19 ns per flip against 2.8 ns per uniform, they break
-# even near p_e = 0.16.
+# cumulative geometric gaps, one value per flip in place of one per bit
+# (Devroye, Non-Uniform Random Variate Generation, 1986: the same Bernoulli
+# field). On a 2-core Xeon host with numpy 2.4.6 a gap cost 18-30 ns and a
+# uniform 3-5 ns, so they break even near p_e = 0.16, below the 0.186 of the
+# default table's long RS walks.
 GAP_MAX_P = 1.0 / 8.0
 
 # Dense flip masks draw this many values at a time: uniforms through one
