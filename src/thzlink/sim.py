@@ -2,7 +2,10 @@
 
 Every update interval draws the binary symmetric channel's flips for a batch
 of generations under the active configuration at the current distance,
-measures the pre-decode bit error rate, and reports it to the controller. A
+measures the pre-decode bit error rate, and reports it to the controller.
+The flips are one mask from `modem.sample_flip_mask`, drawn as flip
+positions when few flips are expected or p_e < 1/8 (geometric gaps), and
+as one uniform per bit otherwise; each draw is a Bernoulli field. A
 configuration returned by the controller takes effect at the start of the
 next interval, never retroactively. One metrics row is emitted per dwell
 segment; every interval additionally appends a row to the event log.
