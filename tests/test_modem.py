@@ -213,7 +213,7 @@ def _in_gap_regime(shape, p_e):
     ((100, 3177), 3.1e-4), ((100, 49140), 0.05), ((7, FLIP_CHUNK + 3), 0.12)])
 def test_gap_flip_mask_is_reproducible(shape, p_e):
     # Twin generators give equal masks and are left in equal states; the
-    # last case draws more than one chunk of gaps.
+    # second case draws several chunks of gaps.
     assert _in_gap_regime(shape, p_e)
     rng, twin = np.random.default_rng(21), np.random.default_rng(21)
     mask = sample_flip_mask(shape, p_e, rng)
