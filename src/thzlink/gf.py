@@ -24,9 +24,9 @@ PRIMITIVE_POLYS = {
 class GF:
     """GF(2^s): addition is XOR, multiplication via log/antilog tables.
 
-    Elements are plain integers in [0, 2^s - 1]. The tables are built once
-    at construction; instances are immutable afterwards and safe to share
-    between threads.
+    Elements are integers in [0, 2^s - 1], held as uint16, the dtype of
+    `exp`; only logs are int64. The tables are built once at construction;
+    instances are immutable afterwards and safe to share between threads.
     """
 
     def __init__(self, s: int):
@@ -71,22 +71,22 @@ class GF:
     def dot_logs(self, a: np.ndarray, log_mat: np.ndarray) -> np.ndarray:
         """Product a @ M.T of a (B, n) element block and M given as (m, n) logs.
 
-        Returns (B, m). It is built one output column at a time, so the
-        largest temporary is (B, n), not (B, m, n).
+        Returns (B, m) elements, uint16. It is built one output column at a
+        time, so the largest temporary is (B, n), not (B, m, n).
         """
         logs = self.log[a]
-        out = np.empty((logs.shape[0], log_mat.shape[0]), dtype=np.int64)
+        out = np.empty((logs.shape[0], log_mat.shape[0]), dtype=self.exp.dtype)
         for j, row in enumerate(log_mat):
             out[:, j] = np.bitwise_xor.reduce(self.exp[logs + row], axis=1)
         return out
 
     def inv_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Inverse of a square matrix of field elements, by Gauss-Jordan."""
-        mat = np.asarray(mat, dtype=np.int64)
+        mat = np.asarray(mat, dtype=self.exp.dtype)
         n = mat.shape[0]
         if mat.shape != (n, n):
             raise ValueError(f"matrix of shape {mat.shape} is not square")
-        aug = np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1)
+        aug = np.concatenate([mat, np.eye(n, dtype=mat.dtype)], axis=1)
         for col in range(n):
             nonzero = np.flatnonzero(aug[col:, col])
             if nonzero.size == 0:

@@ -29,8 +29,9 @@ def _check_symbol_size(s: int) -> None:
 def bits_to_symbols(bits: np.ndarray, s: int) -> np.ndarray:
     """Pack a bit array (MSB first within each symbol) into s-bit symbols.
 
-    The symbols are built in a uint16 accumulator, one bit position per
-    pass: 2 bytes per symbol and pass, and few numpy calls for short words.
+    The symbols are built, and returned, in a uint16 accumulator (the
+    field's element type), one bit position per pass: 2 bytes per symbol
+    and pass, and few numpy calls for short words.
     """
     bits = np.asarray(bits)
     _check_symbol_size(s)
@@ -41,24 +42,23 @@ def bits_to_symbols(bits: np.ndarray, s: int) -> np.ndarray:
     for i in range(1, s):
         out <<= 1
         out |= shaped[..., i]
-    return out.astype(np.int64)
+    return out
 
 
 def symbols_to_bits(symbols: np.ndarray, s: int) -> np.ndarray:
     """Unpack s-bit symbols into a bit array (MSB first).
 
-    Each bit position is shifted out of a uint16 copy of the symbols
-    straight into its uint8 column, and one mask keeps the low bits.
+    Each bit position is shifted out of the symbols, as uint16, straight
+    into its uint8 column, and one mask keeps the low bits.
     """
-    symbols = np.asarray(symbols)
     _check_symbol_size(s)
-    words = symbols.astype(np.uint16)
-    bits = np.empty(symbols.shape + (s,), dtype=np.uint8)
+    words = np.asarray(symbols, dtype=np.uint16)
+    bits = np.empty(words.shape + (s,), dtype=np.uint8)
     for i in range(s):
         # The unsafe cast keeps the low byte; the mask below keeps its low bit.
         np.right_shift(words, s - 1 - i, out=bits[..., i], casting="unsafe")
     bits &= 1
-    return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * s,))
+    return bits.reshape(words.shape[:-1] + (words.shape[-1] * s,))
 
 
 class ReedSolomonCodec:
@@ -120,7 +120,6 @@ class ReedSolomonCodec:
 
     def syndromes_batch(self, symbols: np.ndarray) -> np.ndarray:
         """Syndromes S_1..S_r for each row of a (B, k+r) symbol block."""
-        symbols = np.asarray(symbols, dtype=np.int64)
         mat = self._syndrome_log_matrix(symbols.shape[-1] - self.r_symbols)
         return self.gf.dot_logs(symbols, mat)
 
@@ -132,12 +131,12 @@ class ReedSolomonCodec:
         (r == 2) solve the dirty rows in closed form; every other r runs the
         staged pipeline over them. A row that fails keeps its received
         symbols, except after a failed re-verification, where it keeps the
-        rejected correction.
+        rejected correction. The block keeps the dtype given, uint16 when
+        packed; only logs, indices and counts are int64.
         """
-        symbols = np.asarray(symbols, dtype=np.int64)
-        batch = symbols.shape[0]
-        syn = self.syndromes_batch(symbols)
-        out = symbols.copy()
+        out = np.array(symbols)
+        batch = out.shape[0]
+        syn = self.syndromes_batch(out)
         corrected = np.zeros(batch, dtype=np.int64)
         ok = np.ones(batch, dtype=bool)
         dirty = np.any(syn != 0, axis=1)
@@ -182,7 +181,7 @@ class ReedSolomonCodec:
 
         # Forney: e = omega(X^-1) / lam'(X^-1), omega = S(x) lam(x) mod x^r.
         r = self.r_symbols
-        omega = np.zeros((lam.shape[0], r), dtype=np.int64)
+        omega = np.zeros((lam.shape[0], r), dtype=gf.exp.dtype)
         for k in range(t + 1):
             omega[:, k:] ^= gf.mul_vec(syn[:, : r - k], lam[:, k:k + 1])
         deriv = np.where(np.arange(1, t + 1) % 2 == 1, lam[:, 1:], 0)
@@ -204,7 +203,7 @@ class ReedSolomonCodec:
 
     def _eval_rows(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row i of ascending `coeffs` evaluated at x[i], by Horner."""
-        acc = np.zeros(x.shape, dtype=np.int64)
+        acc = np.zeros(x.shape, dtype=self.gf.exp.dtype)
         for k in range(coeffs.shape[1] - 1, -1, -1):
             acc = self.gf.mul_vec(acc, x) ^ coeffs[:, k]
         return acc
@@ -219,12 +218,12 @@ class ReedSolomonCodec:
         gf = self.gf
         qm1 = gf.order - 1
         rows, r = syn.shape
-        lam = np.zeros((rows, r + 1), dtype=np.int64)
+        lam = np.zeros((rows, r + 1), dtype=gf.exp.dtype)
         lam[:, 0] = 1
         shifted = np.zeros_like(lam)
         shifted[:, 1] = 1
         reg_len = np.zeros(rows, dtype=np.int64)
-        b = np.ones(rows, dtype=np.int64)
+        b = np.ones(rows, dtype=gf.exp.dtype)
         for n in range(r):
             d = np.bitwise_xor.reduce(gf.mul_vec(lam[:, : n + 1], syn[:, n::-1]),
                                       axis=1)

@@ -110,7 +110,7 @@ def test_bit_symbol_packing_roundtrip(rng):
     for lead, s in itertools.product([(), (5,), (3, 2)], (*range(2, 13), 16)):
         bits = rng.integers(0, 2, lead + (s * 7,)).astype(np.uint8)
         symbols = bits_to_symbols(bits, s)
-        assert symbols.dtype == np.int64 and symbols.shape == lead + (7,)
+        assert symbols.dtype == np.uint16 and symbols.shape == lead + (7,)
         words = bits.reshape(-1, s).astype(str)
         oracle = [int("".join(word), 2) for word in words]
         assert symbols.reshape(-1).tolist() == oracle
@@ -232,6 +232,24 @@ def test_decode_batch_matches_scalar_t2(rng):
         res = oracle.decode(template.with_symbols(rx[i]))
         assert (res.ok, res.corrected) == (ok[i], corrected[i])
         assert np.array_equal(res.data, symbols_to_bits(out[i, :9], 4))
+
+
+@pytest.mark.parametrize("s,r,k_bits", [(8, 2, 224), (4, 4, 36), (12, 6, 1200)])
+def test_symbols_stay_in_the_element_type(s, r, k_bits, rng):
+    # Packed symbols are uint16, the field's element type, from encoding
+    # through decoding, on the closed-form (r == 2) and staged paths; an
+    # int64 copy of the same received block decodes to the same outcome.
+    codec = ReedSolomonCodec(s, r)
+    tx = codec.encode_batch(rng.integers(0, 2, (300, k_bits), dtype=np.uint8))
+    noise = rng.integers(0, 1 << s, tx.shape, dtype=np.uint16)
+    rx = tx ^ noise * (rng.random(tx.shape) < 0.05)
+    out, corrected, ok = codec.decode_symbols_batch(rx)
+    assert tx.dtype == rx.dtype == out.dtype == np.uint16
+    assert codec.syndromes_batch(rx).dtype == np.uint16
+    assert ok.any() and not ok.all() and corrected.any()
+    out64, corrected64, ok64 = codec.decode_symbols_batch(rx.astype(np.int64))
+    assert np.array_equal(out64, out)
+    assert np.array_equal(corrected64, corrected) and np.array_equal(ok64, ok)
 
 
 def test_codeword_from_bits_roundtrip(rng):

@@ -193,6 +193,25 @@ def test_walk_intervals_draw_the_channel_only(default_table, table_csv, monkeypa
     assert min(coded) < min(walk) and max(coded) > max(walk)
 
 
+@pytest.mark.parametrize("t_rs", [1, 2])
+def test_dwell_decodes_uint16_symbol_blocks(default_table, table_csv, monkeypatch, t_rs):
+    # The data plane hands the RS decoder its packed uint16 blocks, with no
+    # upcast on the way; at t_rs = 2 the staged decoder path runs too.
+    spec = spec_for(table_csv, duration_s=30.0, t_rs=t_rs)
+    sim = LinkSimulation(spec, default_table, trace=stationary_trace(5.0, 30.0))
+    decode = ReedSolomonCodec.decode_symbols_batch
+    seen = []
+
+    def spy(codec, symbols):
+        seen.append((symbols.dtype, codec.r_symbols))
+        return decode(codec, symbols)
+
+    monkeypatch.setattr(ReedSolomonCodec, "decode_symbols_batch", spy)
+    sim.run()
+    assert {dtype for dtype, _ in seen} == {np.dtype(np.uint16)}
+    assert {r for _, r in seen} == {2, 2 * t_rs}
+
+
 def test_records_conserve_generation_counts(default_table, table_csv):
     spec = spec_for(table_csv, seed=11, duration_s=900.0)
     records = LinkSimulation(spec, default_table).run()
