@@ -160,26 +160,24 @@ def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
     if not 0.0 <= p_e <= 1.0:  # also rejects NaN
         raise ValueError(f"p_e must be within [0, 1], got {p_e!r}")
     size = int(np.prod(shape))
-    if p_e <= 0.0:
-        return np.zeros(shape, dtype=np.uint8)
     if p_e >= 1.0:
         return np.ones(shape, dtype=np.uint8)
-    if p_e * size <= SPARSE_FLIP_THRESHOLD:
-        mask = np.zeros(size, dtype=np.uint8)
-        count = rng.binomial(size, p_e)
-        if count:
-            mask[rng.choice(size, size=count, replace=False)] = 1
-        return mask.reshape(shape)
-    if p_e < GAP_MAX_P:
+    sparse = p_e * size <= SPARSE_FLIP_THRESHOLD
+    if sparse or p_e < GAP_MAX_P:
+        # The mask owns its buffer (numpy reuses only temporaries that own
+        # their data), so `bits ^ mask` in transmit writes into it.
+        mask = np.zeros(shape, dtype=np.uint8)
+        flat = mask.reshape(-1)
+        if sparse:
+            # binomial(size, 0) is 0 and draws nothing, so p_e = 0 lands here.
+            count = rng.binomial(size, p_e)
+            if count:
+                flat[rng.choice(size, size=count, replace=False)] = 1
+            return mask
         # Chunks cover the mean flip count plus four sigmas, so one chunk
         # usually reaches the end of the mask.
         mean = p_e * size
         n = min(FLIP_CHUNK, int(mean + 4.0 * math.sqrt(mean)) + 16)
-        # The mask owns its buffer, not a reshaped view of it, so that
-        # `bits ^ mask` in transmit can write into it (numpy reuses only
-        # temporaries that own their data).
-        mask = np.zeros(shape, dtype=np.uint8)
-        flat = mask.reshape(-1)
         last = -1
         while last < size:
             pos = rng.geometric(p_e, n)

@@ -293,6 +293,24 @@ def test_gap_flip_mask_allocates_about_one_byte_per_bit(draw):
     assert peak <= 1.1 * shape[0] * shape[1]
 
 
+def test_sparse_flip_mask_is_xored_in_place_by_transmit():
+    # The sparse branch returns a mask that owns its buffer, as the gap
+    # branch does, so transmit's `bits ^ mask` writes into it instead of
+    # allocating a second mask-sized array.
+    shape, p_e = (100, 49140), 1e-5
+    assert p_e * math.prod(shape) <= SPARSE_FLIP_THRESHOLD
+    rng = np.random.default_rng(52)
+    bits = np.zeros(shape, dtype=np.uint8)
+    transmit(bits, p_e, rng)
+    tracemalloc.start()
+    try:
+        transmit(bits, p_e, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * shape[0] * shape[1]
+
+
 def test_flip_mask_at_gap_max_p_is_one_field():
     # GAP_MAX_P itself is drawn from uniforms.
     shape = (3, FLIP_CHUNK + 7)
