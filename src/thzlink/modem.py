@@ -110,12 +110,14 @@ class BerTable:
                 if not line:
                     continue
                 parts = line.split(",")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{line_no}: expected 3 columns")
-                d, mod, ber = float(parts[0]), Modulation.from_label(parts[1]), float(parts[2])
-                if d in rows[mod]:
-                    raise ValueError(
-                        f"{path}:{line_no}: duplicate row for {d:g} m, {mod.label}")
+                try:
+                    if len(parts) != 3:
+                        raise ValueError("expected 3 columns")
+                    d, mod, ber = float(parts[0]), Modulation.from_label(parts[1]), float(parts[2])
+                    if d in rows[mod]:
+                        raise ValueError(f"duplicate row for {d:g} m, {mod.label}")
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
                 rows[mod][d] = ber
         distances = sorted(rows[MODULATIONS[0]])
         for mod in MODULATIONS:

@@ -99,6 +99,19 @@ def test_table_csv_roundtrip(tmp_path, default_table):
     assert header == "distance_m,modulation,ber"
 
 
+@pytest.mark.parametrize("row,message", [
+    ("1.0,BPSK", "expected 3 columns"),
+    ("abc,BPSK,0.0", "could not convert string to float: 'abc'"),
+    ("1.0,BPSK,x1", "could not convert string to float: 'x1'"),
+    ("1.0,QAM64,0.0", "unknown modulation 'QAM64'"),
+])
+def test_table_csv_row_errors_name_file_and_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"distance_m,modulation,ber\n1.0,QPSK,0.0\n\n{row}\n")
+    with pytest.raises(ValueError, match=f"bad.csv:4: {message}"):
+        BerTable.from_csv(path)
+
+
 def test_table_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("distance,mod,ber\n1.0,BPSK,0.0\n")
