@@ -114,6 +114,9 @@ class BerTable:
                     if len(parts) != 3:
                         raise ValueError("expected 3 columns")
                     d, mod, ber = float(parts[0]), Modulation.from_label(parts[1]), float(parts[2])
+                    for name, value in (("distance", d), ("BER", ber)):
+                        if not math.isfinite(value):
+                            raise ValueError(f"{name} {value} must be finite")
                     if d in rows[mod]:
                         raise ValueError(f"duplicate row for {d:g} m, {mod.label}")
                 except ValueError as exc:

@@ -104,6 +104,10 @@ def test_table_csv_roundtrip(tmp_path, default_table):
     ("abc,BPSK,0.0", "could not convert string to float: 'abc'"),
     ("1.0,BPSK,x1", "could not convert string to float: 'x1'"),
     ("1.0,QAM64,0.0", "unknown modulation 'QAM64'"),
+    ("nan,BPSK,0.0", "distance nan must be finite"),
+    ("inf,BPSK,0.0", "distance inf must be finite"),
+    ("1.0,BPSK,nan", "BER nan must be finite"),
+    ("1.0,BPSK,-inf", "BER -inf must be finite"),
 ])
 def test_table_csv_row_errors_name_file_and_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
