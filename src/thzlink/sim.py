@@ -14,7 +14,8 @@ No output reports a walk, so a walk interval draws the channel and stops.
 In a dwell interval only the generations with a flipped bit are encoded,
 sent and decoded: both codes are linear and both decoders see a word only
 through its syndromes or parities, so a generation without flips arrives
-clean.
+clean. So the residual-error experiment sends the all-zero codeword, and
+both paths decode through `_decode`.
 """
 
 import math
@@ -26,6 +27,7 @@ from .config import RunSpec
 from .control import AdaptiveController, BerMessage, LinkConfig, SCHEME_RS
 from .mdpc import DEFAULT_MAX_ITERATIONS, MdpcCodec
 from .modem import BerTable, sample_flip_mask, symbol_error_prob, transmit
+# Nothing here calls symbols_to_bits; perfbench/spans.py patches it by name.
 from .rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 
 DISTANCE_GRID_M = 0.5 + 0.5 * np.arange(40)  # 0.5 .. 20.0 m
@@ -59,10 +61,7 @@ class MobilityTrace:
         return i
 
 
-def generate_trace(seed: int, duration_s: float,
-                   grid=DISTANCE_GRID_M,
-                   dwell_choices=DWELL_CHOICES_S,
-                   walk_speed_mps: float = WALK_SPEED_MPS) -> MobilityTrace:
+def generate_trace(seed: int, duration_s: float, grid=DISTANCE_GRID_M) -> MobilityTrace:
     """Alternating dwell/walk trace over the distance grid, 1 m/s walks."""
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -72,7 +71,7 @@ def generate_trace(seed: int, duration_s: float,
     t = 0.0
     pos = float(rng.choice(grid))
     while t < duration_s:
-        dwell = float(rng.choice(dwell_choices))
+        dwell = float(rng.choice(DWELL_CHOICES_S))
         phases.append(TracePhase("dwell", t, t + dwell, pos, pos))
         t += dwell
         if t >= duration_s:
@@ -80,7 +79,7 @@ def generate_trace(seed: int, duration_s: float,
         nxt = pos
         while nxt == pos:
             nxt = float(rng.choice(grid))
-        walk = abs(nxt - pos) / walk_speed_mps
+        walk = abs(nxt - pos) / WALK_SPEED_MPS
         phases.append(TracePhase("walk", t, t + walk, pos, nxt))
         t += walk
         pos = nxt
@@ -175,25 +174,19 @@ def _payload(rng: np.random.Generator, batch: int, k: int) -> np.ndarray:
                          axis=1, count=k)
 
 
-def _deliver(codec, data: np.ndarray, channel) -> tuple:
-    """Encode a (B, K) data block, pass its sent units through `channel`, decode.
+def _decode(codec, received: np.ndarray) -> tuple:
+    """Decode a (B, units) received block: (decoded data units, ok, changed).
 
     Units are what the correction budget counts: symbols for RS, bits for
-    MDPC; `channel` maps the (B, units) sent block to the received one.
-    Returns (sent units, received units, wrong data bits per row, ok flags,
-    changed flags). A row is changed when the decoder corrected it. RS
-    words start with their data symbols, so the wrong bits are counted on
-    the symbols and the decoded data is never unpacked.
+    MDPC. RS words start with their L - r data symbols, so RS data is never
+    unpacked; MDPC data units are the data bits. A row is changed when the
+    decoder corrected it.
     """
-    sent = codec.encode_batch(data)
-    received = channel(sent)
     if isinstance(codec, ReedSolomonCodec):
         out, counts, ok = codec.decode_symbols_batch(received)
-        k = data.shape[-1] // codec.s
-        wrong = np.bitwise_count(out[:, :k] ^ sent[:, :k]).sum(axis=1)
-        return sent, received, wrong, ok, counts > 0
+        return out[:, :received.shape[1] - codec.r_symbols], ok, counts > 0
     decoded, _, flips, ok = codec.decode_batch(received)
-    return sent, received, np.count_nonzero(decoded != data, axis=1), ok, flips > 0
+    return decoded, ok, flips > 0
 
 
 def _carry(codec, k: int, flip_mask: np.ndarray, rng: np.random.Generator) -> Outcomes:
@@ -201,8 +194,9 @@ def _carry(codec, k: int, flip_mask: np.ndarray, rng: np.random.Generator) -> Ou
 
     A row with no flipped bit decodes clean, so only the flipped rows get a
     payload, an encode and a decode; their flips are added to the sent
-    units (packed into symbols for RS), in place: the received block reuses
-    the flips' buffer.
+    units in place: the received block reuses the flips' buffer. RS packs
+    the flips before the payload is drawn, so no payload bits are held
+    while the word decodes.
     """
     batch = flip_mask.shape[0]
     # A mask holds only 0 and 1, so its bool view reduces exactly, and
@@ -214,13 +208,16 @@ def _carry(codec, k: int, flip_mask: np.ndarray, rng: np.random.Generator) -> Ou
     flips = flip_mask[hit]
     if isinstance(codec, ReedSolomonCodec):
         flips = bits_to_symbols(flips, codec.s)
-    _, _, wrong, ok, changed = _deliver(
-        codec, _payload(rng, hit.size, k),
-        lambda sent: np.bitwise_xor(sent, flips, out=flips))
+        sent = codec.encode_batch(_payload(rng, hit.size, k))
+        sent_data = sent[:, :k // codec.s]
+    else:
+        sent_data = _payload(rng, hit.size, k)
+        sent = codec.encode_batch(sent_data)
+    decoded, ok, changed = _decode(codec, np.bitwise_xor(sent, flips, out=flips))
     outcomes.error_free += int(np.count_nonzero(ok & ~changed))
     outcomes.corrected = int(np.count_nonzero(ok & changed))
     outcomes.failed = int(np.count_nonzero(~ok))
-    outcomes.wrong_bits = int(wrong.sum())
+    outcomes.wrong_bits = int(np.bitwise_count(decoded ^ sent_data).sum())
     return outcomes
 
 
@@ -375,28 +372,24 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
                               ) -> ResidualStats:
     """Transmit many generations at one fixed configuration and p_e.
 
-    Counts, per generation, the injected error units (symbols for RS, bits
-    for MDPC), whether the decode returned the original data, and compares
-    the exceed rate against the binomial tail for the unit error process.
+    Sends the all-zero codeword, which by linearity gives every codeword's
+    outcome (Richardson & Urbanke, Modern Coding Theory, 2008, 4.1): the
+    received word is the error pattern. Counts, per generation, the nonzero
+    received units (symbols for RS, bits for MDPC) and whether a decoded
+    data unit is nonzero, and compares the exceed rate against the binomial
+    tail for the unit error process.
     """
-    rng_data = np.random.default_rng([seed, 1])
     rng_channel = np.random.default_rng([seed, 2])
-    k = config.k_bits
+    n_bits = config.k_bits + config.r_bits
     codec = _build_codec(config, mdpc_max_iterations)
     t_budget = codec.t
-    s = config.s
-    if config.scheme == SCHEME_RS:
-        n_units = (k + config.r_bits) // s
-        unit_p = symbol_error_prob(p_e, s)
-
-        def channel(sent):
-            return bits_to_symbols(transmit(symbols_to_bits(sent, s), p_e, rng_channel), s)
+    rs = config.scheme == SCHEME_RS
+    if rs:
+        n_units = n_bits // config.s
+        unit_p = symbol_error_prob(p_e, config.s)
     else:
-        n_units = k + config.r_bits
+        n_units = n_bits
         unit_p = p_e
-
-        def channel(sent):
-            return transmit(sent, p_e, rng_channel)
 
     within_failures = 0
     exceed = 0
@@ -404,10 +397,12 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     done = 0
     while done < generations:
         batch = min(batch_size, generations - done)
-        data = _payload(rng_data, batch, k)
-        sent, received, wrong_bits, _, _ = _deliver(codec, data, channel)
-        injected = np.count_nonzero(received != sent, axis=1)
-        wrong = wrong_bits > 0
+        received = transmit(np.zeros((batch, n_bits), np.uint8), p_e, rng_channel)
+        if rs:
+            received = bits_to_symbols(received, config.s)
+        decoded, _, _ = _decode(codec, received)
+        injected = np.count_nonzero(received, axis=1)
+        wrong = decoded.any(axis=1)
         within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
         exceed += int(np.count_nonzero(injected > t_budget))
         failures += int(np.count_nonzero(wrong))

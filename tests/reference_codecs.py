@@ -12,10 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from thzlink.control import SCHEME_RS
 from thzlink.gf import get_field
 from thzlink.mdpc import DEFAULT_MAX_ITERATIONS
+from thzlink.modem import symbol_error_prob, transmit
 from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
-from thzlink.sim import Outcomes
+from thzlink.sim import (Outcomes, ResidualStats, _build_codec, _payload,
+                         binomial_tail_above)
 
 # -- scalar GF(2^s) arithmetic on the library's log/antilog tables ------------
 
@@ -419,3 +422,65 @@ def codeword_outcomes(codec, k: int, flip_mask: np.ndarray,
                     failed=int(np.count_nonzero(~ok)),
                     wrong_bits=int(np.count_nonzero(decoded != data)),
                     data_bits=batch * k)
+
+
+# -- the residual-error experiment, every codeword carrying data ----------------
+
+
+def codeword_residual_stats(config, p_e: float, generations: int, seed: int,
+                            batch_size: int = 2000,
+                            mdpc_max_iterations: int = DEFAULT_MAX_ITERATIONS
+                            ) -> ResidualStats:
+    """`residual_error_experiment` sent the long way, as it once ran.
+
+    Each batch carries random data from its own stream and is encoded; the
+    coded bits (RS symbols unpacked) pass through the channel, are packed
+    again and decoded. A generation is wrong when its decoded data differs
+    from the sent data, and its injected units are the received units that
+    differ from the sent ones.
+    """
+    rng_data = np.random.default_rng([seed, 1])
+    rng_channel = np.random.default_rng([seed, 2])
+    k = config.k_bits
+    codec = _build_codec(config, mdpc_max_iterations)
+    t_budget = codec.t
+    s = config.s
+    rs = config.scheme == SCHEME_RS
+    if rs:
+        n_units = (k + config.r_bits) // s
+        unit_p = symbol_error_prob(p_e, s)
+    else:
+        n_units = k + config.r_bits
+        unit_p = p_e
+
+    within_failures = 0
+    exceed = 0
+    failures = 0
+    done = 0
+    while done < generations:
+        batch = min(batch_size, generations - done)
+        data = _payload(rng_data, batch, k)
+        sent = codec.encode_batch(data)
+        if rs:
+            received = bits_to_symbols(
+                transmit(symbols_to_bits(sent, s), p_e, rng_channel), s)
+            out, _, _ = codec.decode_symbols_batch(received)
+            wrong = np.any(out[:, : k // s] != sent[:, : k // s], axis=1)
+        else:
+            received = transmit(sent, p_e, rng_channel)
+            wrong = np.any(codec.decode_batch(received)[0] != data, axis=1)
+        injected = np.count_nonzero(received != sent, axis=1)
+        within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
+        exceed += int(np.count_nonzero(injected > t_budget))
+        failures += int(np.count_nonzero(wrong))
+        done += batch
+
+    return ResidualStats(
+        generations=generations,
+        t_budget=t_budget,
+        within_budget_failures=within_failures,
+        exceed_injected=exceed,
+        data_failures=failures,
+        empirical_exceed_rate=exceed / generations,
+        theoretical_tail=binomial_tail_above(n_units, unit_p, t_budget),
+    )

@@ -9,10 +9,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_codecs import MdpcBlock, ScalarRsCodec, codeword_outcomes, mdpc_decode
-from thzlink.mdpc import MdpcCodec
+from reference_codecs import (MdpcBlock, ScalarRsCodec, codeword_outcomes,
+                              codeword_residual_stats, mdpc_decode)
+from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig
+from thzlink.mdpc import MdpcCodec, parity_bits_for
+from thzlink.modem import DEFAULT_DATA_RATES_GBPS, Modulation
 from thzlink.rs import ReedSolomonCodec
-from thzlink.sim import _carry
+from thzlink.sim import _carry, residual_error_experiment
 
 ROWS = 12
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -122,3 +125,34 @@ def test_interval_outcomes_match_codeword_path(case):
         row[rng.choice(n_bits, size=weight, replace=False)] = 1
     expected = codeword_outcomes(codec, k, mask, np.random.default_rng([seed, 1]))
     assert _carry(codec, k, mask, np.random.default_rng([seed, 2])) == expected
+
+
+@st.composite
+def experiment_cases(draw):
+    """A configuration, a p_e up to about 3t flipped bits per word, and a
+    generation count split into several batches."""
+    rate = DEFAULT_DATA_RATES_GBPS[Modulation.BPSK]
+    if draw(st.booleans()):
+        s, r = draw(st.integers(3, 6)), draw(st.integers(2, 6))
+        length = draw(st.integers(r + 1, 2 ** s - 1))
+        config = LinkConfig(SCHEME_RS, Modulation.BPSK, s * (length - r), s * r,
+                            rate, s=s)
+        n_units, t = length, r // 2
+    else:
+        n, m = draw(st.integers(2, 3)), draw(st.integers(2, 5))
+        config = LinkConfig(SCHEME_MDPC, Modulation.BPSK, m ** n,
+                            parity_bits_for(m, n), rate, m=m, n=n)
+        n_units, t = (m + 1) ** n, 2 ** (n - 1) - 1
+    p_e = min(0.5, 3 * t / n_units) * draw(st.integers(0, 16)) / 16
+    generations = draw(st.integers(2, 60))
+    batch_size = draw(st.integers(1, generations - 1))
+    return (config, p_e, generations, draw(st.integers(0, 2 ** 32 - 1)), batch_size,
+            draw(st.integers(1, 10)))
+
+
+@SETTINGS
+@given(experiment_cases())
+def test_residual_experiment_matches_codeword_path(case):
+    # The experiment sends the all-zero codeword; by linearity every field
+    # must equal the codeword path's, which sends random data.
+    assert residual_error_experiment(*case) == codeword_residual_stats(*case)

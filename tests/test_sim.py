@@ -6,14 +6,14 @@ import pytest
 from helpers import distance_at, tail_sigma
 from thzlink import sim as sim_module
 from thzlink.config import RunSpec
-from thzlink.control import (SCHEME_MDPC, LinkConfig, OptimizerParams,
+from thzlink.control import (SCHEME_MDPC, SCHEME_RS, LinkConfig, OptimizerParams,
                              initial_link_config, optimize_for_distance)
 from thzlink.mdpc import MdpcCodec
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
-                           transmit)
+                           sample_flip_mask)
 from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 from thzlink.sim import (DISTANCE_GRID_M, DWELL_CHOICES_S, LinkSimulation,
-                         MobilityTrace, Outcomes, TracePhase, _deliver, _payload,
+                         MobilityTrace, Outcomes, TracePhase, _carry, _decode, _payload,
                          binomial_tail_above, generate_trace,
                          residual_error_experiment, run_simulation)
 
@@ -320,6 +320,8 @@ def _codec_id(codec):
     *[MdpcCodec(3, n) for n in (2, 3)],
 ], ids=_codec_id)
 def test_deliver_counts_wrong_data_bits(codec):
+    # `_decode` returns data units (RS symbols, MDPC bits); the wrong bits
+    # counted on them equal the count on the unpacked data bits.
     rs = isinstance(codec, ReedSolomonCodec)
     k_bits = 6 * codec.s if rs else codec.k_bits
     rng = np.random.default_rng(11)
@@ -335,45 +337,64 @@ def test_deliver_counts_wrong_data_bits(codec):
             out[row, rng.choice(bits.shape[1], size=count, replace=False)] ^= 1
         return out
 
-    def channel(sent):
-        # The channel gets the sent units; RS symbols are flipped bitwise.
-        if rs:
-            return bits_to_symbols(flip_bits(symbols_to_bits(sent, codec.s)), codec.s)
-        return flip_bits(sent)
-
-    _, received, wrong, ok, _ = _deliver(codec, data, channel)
+    sent = codec.encode_batch(data)
+    # The channel gets the sent units; RS symbols are flipped bitwise.
     if rs:
+        received = bits_to_symbols(flip_bits(symbols_to_bits(sent, codec.s)), codec.s)
+        sent_data = sent[:, : k_bits // codec.s]
         out, _, _ = codec.decode_symbols_batch(received)
-        decoded = symbols_to_bits(out[:, : k_bits // codec.s], codec.s)
+        decoded_bits = symbols_to_bits(out[:, : k_bits // codec.s], codec.s)
     else:
-        decoded = codec.decode_batch(received)[0]
-    assert np.array_equal(wrong, np.count_nonzero(decoded != data, axis=1))
+        received = flip_bits(sent)
+        sent_data = data
+        decoded_bits = codec.decode_batch(received)[0]
+    decoded, ok, _ = _decode(codec, received)
+    wrong = np.bitwise_count(decoded ^ sent_data).sum(axis=1)
+    assert np.array_equal(wrong, np.count_nonzero(decoded_bits != data, axis=1))
     assert not ok.all() and wrong.any()
 
 
 def test_deliver_allocates_few_bytes_per_channel_bit():
-    # One interval of the longest RS words on a dense channel: payload,
-    # encode, channel and decode together stay well below the 8 bytes per
-    # bit of a float64 field.
+    # One interval of the longest RS words on a dense channel: packing,
+    # payload, encode and decode of the flipped rows together stay well
+    # below the 8 bytes per bit of a float64 field. The mask is drawn
+    # before tracing starts.
     codec = ReedSolomonCodec(12, 2)
     batch, n_bits = 100, 12 * 4095
     rng = np.random.default_rng(6)
 
-    def channel(sent):
-        return bits_to_symbols(transmit(symbols_to_bits(sent, 12), 0.186, rng), 12)
+    def carry():
+        mask = sample_flip_mask((batch, n_bits), 0.186, rng)
+        tracemalloc.start()
+        try:
+            _carry(codec, n_bits - 24, mask, rng)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-    def deliver():
-        data = _payload(rng, batch, n_bits - 24)
-        _deliver(codec, data, channel)
+    carry()
+    assert carry() <= 6.5 * batch * n_bits
 
-    deliver()
+
+def test_residual_experiment_allocates_few_bytes_per_channel_bit():
+    # One batch of the longest RS words on a dense channel: the zero block,
+    # its flip mask and the packed symbols, with no payload, encode or
+    # unpacked copy of the sent words.
+    batch, n_bits = 100, 12 * 4095
+    config = LinkConfig(SCHEME_RS, Modulation.BPSK, n_bits - 24, 24,
+                        DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], s=12)
+
+    def experiment():
+        residual_error_experiment(config, 0.186, generations=batch, seed=6)
+
+    experiment()
     tracemalloc.start()
     try:
-        deliver()
+        experiment()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * batch * n_bits
+    assert peak <= 2.5 * batch * n_bits
 
 
 def test_payload_is_fair_bits():
