@@ -129,8 +129,8 @@ def test_interval_outcomes_match_codeword_path(case):
 
 @st.composite
 def experiment_cases(draw):
-    """A configuration, a p_e up to about 3t flipped bits per word, and a
-    generation count split into several batches."""
+    """A configuration, a p_e up to 3t / (units per word), and a generation
+    count split into several batches."""
     rate = DEFAULT_DATA_RATES_GBPS[Modulation.BPSK]
     if draw(st.booleans()):
         s, r = draw(st.integers(3, 6)), draw(st.integers(2, 6))
