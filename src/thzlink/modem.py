@@ -139,69 +139,57 @@ def symbol_error_prob(p_e: float, s: int) -> float:
     return 1.0 - (1.0 - p_e) ** s
 
 
-# Below this many expected flips per call the channel samples a flip count
-# plus positions instead of a dense Bernoulli field (identical distribution).
+# The benchmark's tracer (perfbench/spans.py) sorts sampler calls into sparse
+# and dense by this many expected flips; the sampler itself has one regime.
 SPARSE_FLIP_THRESHOLD = 64.0
 
-# Below this p_e a dense flip mask is scattered from flip positions drawn as
-# cumulative geometric gaps, one value per flip in place of one per bit
-# (Devroye, Non-Uniform Random Variate Generation, 1986: the same Bernoulli
-# field). On a 2-core Xeon host with numpy 2.4.6 a gap cost 18-30 ns and a
-# uniform 3-5 ns, so they break even near p_e = 0.16, below the 0.186 of the
-# default table's long RS walks.
-GAP_MAX_P = 1.0 / 8.0
-
-# Dense flip masks draw this many values at a time: uniforms through one
-# reused float64 buffer, or gaps as one int64 array (128 KiB, cache-sized),
-# never a field of 8 bytes per bit.
+# Flip masks draw at most this many gaps at a time, through one float64 and
+# one int64 buffer (128 KiB each, cache-sized), never a field of 8 bytes per
+# bit.
 FLIP_CHUNK = 1 << 14
 
 
 def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
     """Bit-flip indicator array for a BSC with crossover probability p_e.
 
+    Flips are scattered at cumulative geometric gaps, one draw per flip in
+    place of one per bit; this is the Bernoulli field at any p_e (Devroye,
+    Non-Uniform Random Variate Generation, 1986). A gap is
+    ceil(E / -log1p(-p_e)) for a standard exponential E, divided as numpy's
+    `Generator.geometric` divides below p = 1/3, so the gaps are its values.
+
     Raises `ValueError` unless p_e is a number within [0, 1].
     """
     if not 0.0 <= p_e <= 1.0:  # also rejects NaN
         raise ValueError(f"p_e must be within [0, 1], got {p_e!r}")
-    size = int(np.prod(shape))
     if p_e >= 1.0:
         return np.ones(shape, dtype=np.uint8)
-    sparse = p_e * size <= SPARSE_FLIP_THRESHOLD
-    if sparse or p_e < GAP_MAX_P:
-        # The mask owns its buffer (numpy reuses only temporaries that own
-        # their data), so `bits ^ mask` in transmit writes into it.
-        mask = np.zeros(shape, dtype=np.uint8)
-        flat = mask.reshape(-1)
-        if sparse:
-            # binomial(size, 0) is 0 and draws nothing, so p_e = 0 lands here.
-            count = rng.binomial(size, p_e)
-            if count:
-                flat[rng.choice(size, size=count, replace=False)] = 1
-            return mask
-        # Chunks cover the mean flip count plus four sigmas, so one chunk
-        # usually reaches the end of the mask.
-        mean = p_e * size
-        n = min(FLIP_CHUNK, int(mean + 4.0 * math.sqrt(mean)) + 16)
-        last = -1
-        while last < size:
-            pos = rng.geometric(p_e, n)
-            np.cumsum(pos, out=pos)
-            pos += last
-            last = int(pos[-1])
-            flat[pos[: np.searchsorted(pos, size)]] = 1
-            del pos  # free this chunk before the next is drawn
+    # The mask owns its buffer (numpy reuses only temporaries that own their
+    # data), so `bits ^ mask` in transmit writes into it.
+    mask = np.zeros(shape, dtype=np.uint8)
+    if p_e == 0.0:
         return mask
-    # Generator.random draws one 64-bit output per value and buffers none, so
-    # the chunks give the values, and leave the generator in the state, of
-    # one rng.random(size) call.
-    mask = np.empty(shape, dtype=np.uint8)
-    flat = mask.reshape(-1).view(bool)
-    buf = np.empty(min(size, FLIP_CHUNK))
-    for lo in range(0, size, FLIP_CHUNK):
-        chunk = buf[: min(FLIP_CHUNK, size - lo)]
-        rng.random(out=chunk)
-        np.less(chunk, p_e, out=flat[lo:lo + chunk.size])
+    flat = mask.reshape(-1)
+    size = flat.size
+    # Chunks cover the mean flip count plus four sigmas, so one chunk
+    # usually reaches the end of the mask.
+    mean = p_e * size
+    gaps = np.empty(min(FLIP_CHUNK, int(mean + 4.0 * math.sqrt(mean)) + 16))
+    pos = np.empty(gaps.size, dtype=np.int64)
+    scale = -math.log1p(-p_e)
+    # Capping E at the end of the mask keeps every gap that lands in it, and
+    # keeps a tiny p_e from overflowing the division or the int64 cast.
+    cap = (size + 1) * scale
+    last = -1
+    while last < size:
+        rng.standard_exponential(out=gaps)
+        np.minimum(gaps, cap, out=gaps)
+        gaps /= scale
+        np.ceil(gaps, out=gaps)
+        np.cumsum(gaps, dtype=np.int64, out=pos)
+        pos += last
+        last = int(pos[-1])
+        flat[pos[: np.searchsorted(pos, size)]] = 1
     return mask
 
 

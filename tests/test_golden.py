@@ -24,7 +24,7 @@ def sha256(path) -> str:
 def test_full_run_outputs_are_golden(full_run):
     spec, _ = full_run
     assert sha256(spec.metrics_path) == (
-        "d9b656f417db2a5f89b9700ecaf82c6215cbcebad28fbedbe5ac440ccc245c3f")
+        "31bb4a4e803c1d20b4e2c88c484477175e9f1d69696b955d4d17dce281282455")
     assert sha256(spec.events_path) == (
         "6c8dd27940d4c6f800d10cad91ac6fc5f36d395b832c6c43022c48b7f1d63275")
 
@@ -40,7 +40,7 @@ def test_lossy_t2_run_outputs_are_golden(default_table, tmp_path):
     LinkSimulation(spec, default_table, trace).run(spec.metrics_path,
                                                    spec.events_path)
     assert sha256(spec.metrics_path) == (
-        "87ab527392f6d48e6aca2808aac5a6c42123b6b5f120503479811576981ebf60")
+        "890e4164001376c8f29a5f958f44f974b6153eb8f3d2ded52f01e382bf844f52")
     assert sha256(spec.events_path) == (
         "e12d3db3a335eb73474a5f91d7e60c9bf70f094e3646fab3d6562b3d48d4f791")
 
@@ -56,7 +56,7 @@ def _run_hashes(table, tmp_path, **spec_fields) -> tuple:
 def test_seed_1_default_run_outputs_are_golden(default_table, tmp_path):
     # The default 6060 s spec on its own seed-1 trace.
     assert _run_hashes(default_table, tmp_path, seed=1) == (
-        "8d8e0df6dc5e08245ec30aea2c3b92cdb93b07ab157a52771dc7b6cdc9ffc19c",
+        "984d15b09110f35f437bfb70fc9ea840cbc7c96b8f100d844d1bec133e511f0a",
         "5e2dc621c2bdad639f276f1362655eae925d36ca518e917e692c8648c5a9e6b9")
 
 
@@ -64,7 +64,7 @@ def test_seed_2022_default_run_outputs_are_golden(default_table, tmp_path):
     # The default 6060 s spec on the seed-2022 trace, the slowest seed
     # measured: it dwells where long RS words meet flips.
     assert _run_hashes(default_table, tmp_path, seed=2022) == (
-        "797602b41af542fda50e2959adc1333412fc78d76246bf816779217dbb22b84d",
+        "98ff88c3ffbe8f2d9ea65554dfbb245b68f77da323014a0cf44485464df3884a",
         "77aae9ae30e447fbf1080a4347310398e4992d6325c244325432f4e3880814d6")
 
 

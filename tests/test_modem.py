@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, FLIP_CHUNK, GAP_MAX_P,
-                           MODULATIONS, SPARSE_FLIP_THRESHOLD, BerTable,
-                           Modulation, sample_flip_mask, symbol_error_prob,
-                           transmit)
+from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, FLIP_CHUNK, MODULATIONS,
+                           SPARSE_FLIP_THRESHOLD, BerTable, Modulation,
+                           sample_flip_mask, symbol_error_prob, transmit)
 
 
 def make_table(values_by_mod=None, distances=(1.0, 2.0, 3.0)):
@@ -183,7 +182,7 @@ def test_transmit_deterministic_for_fixed_seed():
 
 
 def test_sparse_flip_mask_statistics():
-    # Expected flips below the sparse threshold: exercise the count+positions path.
+    # Far fewer expected flips than bits: most masks draw one short chunk.
     rng = np.random.default_rng(5)
     total = 0
     for _ in range(200):
@@ -195,22 +194,38 @@ def test_sparse_flip_mask_statistics():
     assert sample_flip_mask((10,), 1.0, rng).sum() == 10
 
 
+def _geometric_gap_mask(shape, p_e, rng):
+    """Flips at cumulative `rng.geometric` gaps, drawn in the sampler's chunks."""
+    size = math.prod(shape)
+    mean = p_e * size
+    n = min(FLIP_CHUNK, int(mean + 4.0 * math.sqrt(mean)) + 16)
+    flat = np.zeros(size, dtype=np.uint8)
+    last = -1
+    while last < size:
+        pos = last + np.cumsum(rng.geometric(p_e, n))
+        last = int(pos[-1])
+        flat[pos[pos < size]] = 1
+    return flat.reshape(shape)
+
+
 @pytest.mark.parametrize("shape", [
     (FLIP_CHUNK - 1,), (FLIP_CHUNK,), (FLIP_CHUNK + 1,), (3 * FLIP_CHUNK + 5,),
     (3, FLIP_CHUNK + 7), (5, 3 * FLIP_CHUNK + 5)])
 def test_dense_flip_mask_matches_one_field(shape):
-    # The chunked mask is the one-field mask of a twin generator, and both
-    # generators are left in the same state.
+    # Below p = 1/3 numpy draws a geometric gap from one standard
+    # exponential, as the sampler does, so the mask is the scatter of a twin
+    # generator's geometric gaps, and both generators are left in the same
+    # state. The last shape draws several chunks.
     rng, twin = np.random.default_rng(8), np.random.default_rng(8)
     mask = sample_flip_mask(shape, 0.186, rng)
     assert mask.dtype == np.uint8 and mask.shape == shape
-    assert np.array_equal(mask, (twin.random(shape) < 0.186).astype(np.uint8))
-    assert rng.random() == twin.random()
+    assert np.array_equal(mask, _geometric_gap_mask(shape, 0.186, twin))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_dense_flip_mask_allocates_about_one_byte_per_bit(rng):
-    # The uniforms go through a cache-sized buffer, not a float64 field of
-    # 8 bytes per bit.
+    # The gaps go through cache-sized buffers, not a field of 8 bytes per bit
+    # or one array of every flip.
     shape = (100, 49140)
     sample_flip_mask(shape, 0.186, rng)
     tracemalloc.start()
@@ -222,16 +237,13 @@ def test_dense_flip_mask_allocates_about_one_byte_per_bit(rng):
     assert peak <= 1.1 * shape[0] * shape[1]
 
 
-def _in_gap_regime(shape, p_e):
-    return p_e < GAP_MAX_P and p_e * math.prod(shape) > SPARSE_FLIP_THRESHOLD
-
-
 @pytest.mark.parametrize("shape,p_e", [
-    ((100, 3177), 3.1e-4), ((100, 49140), 0.05), ((7, FLIP_CHUNK + 3), 0.12)])
+    ((100, 3177), 3.1e-4), ((100, 49140), 0.05), ((7, FLIP_CHUNK + 3), 0.12),
+    ((7, FLIP_CHUNK + 3), 0.186), ((100, 49140), 0.35), ((64, 4099), 0.5),
+    ((100, 49140), 1e-5)])
 def test_gap_flip_mask_is_reproducible(shape, p_e):
     # Twin generators give equal masks and are left in equal states; the
-    # second case draws several chunks of gaps.
-    assert _in_gap_regime(shape, p_e)
+    # second case draws several chunks of gaps, the last about 49 flips.
     rng, twin = np.random.default_rng(21), np.random.default_rng(21)
     mask = sample_flip_mask(shape, p_e, rng)
     assert mask.dtype == np.uint8 and mask.shape == shape
@@ -241,11 +253,12 @@ def test_gap_flip_mask_is_reproducible(shape, p_e):
 
 @pytest.mark.parametrize("shape,p_e,seed", [
     ((100, 49140), 6e-5, 31), ((100, 3177), 3.1e-4, 32),
-    ((100, 49140), 0.05, 33), ((40, 4095), 0.12, 34)])
+    ((100, 49140), 0.05, 33), ((40, 4095), 0.12, 34),
+    ((100, 49140), 0.186, 35), ((100, 49140), 0.35, 36),
+    ((100, 49140), 0.5, 37), ((100, 49140), 1e-5, 38)])
 def test_gap_flip_count_within_4_sigma(shape, p_e, seed):
-    # The last two shapes expect more than FLIP_CHUNK flips, so their gaps
-    # come in several chunks.
-    assert _in_gap_regime(shape, p_e)
+    # Most shapes expect more than FLIP_CHUNK flips, so their gaps come in
+    # several chunks.
     size = math.prod(shape)
     flips = int(sample_flip_mask(shape, p_e, np.random.default_rng(seed)).sum())
     assert abs(flips - size * p_e) <= 4 * math.sqrt(size * p_e * (1 - p_e))
@@ -262,12 +275,13 @@ def _chi_square_within_4_sigma(counts, p_e):
 
 
 @pytest.mark.parametrize("shape,p_e,draws", [
-    ((50, 997), 0.02, 40), ((64, 4099), 0.1, 20)])
+    ((50, 997), 0.02, 40), ((64, 4099), 0.1, 20), ((64, 4099), 0.186, 20),
+    ((64, 4099), 0.35, 20), ((64, 4099), 0.5, 20), ((50, 997), 1e-3, 400)])
 def test_gap_flip_positions_are_uniform(shape, p_e, draws):
     # Flips summed over fixed-seed masks spread evenly over columns and over
-    # rows; the second shape draws several chunks per mask, so a position
-    # carried wrongly from one chunk to the next would skew the rows.
-    assert _in_gap_regime(shape, p_e)
+    # rows; the (64, 4099) shapes draw several chunks per mask, so a position
+    # carried wrongly from one chunk to the next would skew the rows. The
+    # last case expects about 50 flips per mask, and 20 per column summed.
     rng = np.random.default_rng(41)
     total = np.zeros(shape, dtype=np.int64)
     for _ in range(draws):
@@ -278,15 +292,15 @@ def test_gap_flip_positions_are_uniform(shape, p_e, draws):
 
 def test_gap_flip_mask_flips_first_and_last_bit_at_p_e():
     # Positions are 0-based: the first gap lands on bit 0 with probability
-    # p_e, and the last bit is reachable.
-    shape, p_e, draws = (1, 700), 0.1, 4000
-    assert _in_gap_regime(shape, p_e)
+    # p_e, and the last bit is reachable. At 0.05 the mask expects 35 flips.
+    shape, draws = (1, 700), 4000
     rng = np.random.default_rng(71)
-    ends = np.zeros(2, dtype=np.int64)
-    for _ in range(draws):
-        ends += sample_flip_mask(shape, p_e, rng)[0, [0, -1]]
-    sigma = math.sqrt(draws * p_e * (1 - p_e))
-    assert np.all(np.abs(ends - draws * p_e) <= 4 * sigma)
+    for p_e in (0.1, 0.186, 0.35, 0.5, 0.05):
+        ends = np.zeros(2, dtype=np.int64)
+        for _ in range(draws):
+            ends += sample_flip_mask(shape, p_e, rng)[0, [0, -1]]
+        sigma = math.sqrt(draws * p_e * (1 - p_e))
+        assert np.all(np.abs(ends - draws * p_e) <= 4 * sigma), p_e
 
 
 @pytest.mark.parametrize("draw", [
@@ -297,7 +311,6 @@ def test_gap_flip_mask_allocates_about_one_byte_per_bit(draw):
     # int64 array of every flip (about 2 MB here), and transmit XORs the
     # bits into the mask rather than into a second mask-sized array.
     shape, p_e = (100, 49140), 0.05
-    assert _in_gap_regime(shape, p_e)
     rng = np.random.default_rng(51)
     bits = np.zeros(shape, dtype=np.uint8)
     draw(bits, p_e, rng)
@@ -311,8 +324,8 @@ def test_gap_flip_mask_allocates_about_one_byte_per_bit(draw):
 
 
 def test_sparse_flip_mask_is_xored_in_place_by_transmit():
-    # The sparse branch returns a mask that owns its buffer, as the gap
-    # branch does, so transmit's `bits ^ mask` writes into it instead of
+    # A mask the benchmark's tracer counts as sparse owns its buffer, as a
+    # dense one does, so transmit's `bits ^ mask` writes into it instead of
     # allocating a second mask-sized array.
     shape, p_e = (100, 49140), 1e-5
     assert p_e * math.prod(shape) <= SPARSE_FLIP_THRESHOLD
@@ -328,10 +341,10 @@ def test_sparse_flip_mask_is_xored_in_place_by_transmit():
     assert peak <= 1.1 * shape[0] * shape[1]
 
 
-def test_flip_mask_at_gap_max_p_is_one_field():
-    # GAP_MAX_P itself is drawn from uniforms.
-    shape = (3, FLIP_CHUNK + 7)
-    rng, twin = np.random.default_rng(61), np.random.default_rng(61)
-    mask = sample_flip_mask(shape, GAP_MAX_P, rng)
-    assert np.array_equal(mask, (twin.random(shape) < GAP_MAX_P).astype(np.uint8))
-    assert rng.random() == twin.random()
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p_e", [1e-300, 5e-324])
+def test_flip_mask_at_tiny_p_e_has_no_flip(p_e):
+    # A gap near size / p_e would overflow the division, or the int64 cast
+    # into a negative index; capped, it lands past the end of the mask.
+    mask = sample_flip_mask((100, 49140), p_e, np.random.default_rng(81))
+    assert mask.shape == (100, 49140) and not mask.any()
