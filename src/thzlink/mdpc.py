@@ -40,6 +40,8 @@ class MdpcCodec:
     def __init__(self, m: int, n: int, max_iterations: int = DEFAULT_MAX_ITERATIONS):
         if m < 2 or n < 2:
             raise ValueError("need m >= 2 and n >= 2")
+        if max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {max_iterations!r}")
         self.m = m
         self.n = n
         self.max_iterations = max_iterations

@@ -3,9 +3,8 @@
 Every update interval draws the binary symmetric channel's flips for a batch
 of generations under the active configuration at the current distance,
 measures the pre-decode bit error rate, and reports it to the controller.
-The flips are one mask from `modem.sample_flip_mask`, drawn as flip
-positions when few flips are expected or p_e < 1/8 (geometric gaps), and
-as one uniform per bit otherwise; each draw is a Bernoulli field. A
+The flips are one mask from `modem.sample_flip_mask`, scattered at
+cumulative geometric gaps, one draw per flip, which is a Bernoulli field. A
 configuration returned by the controller takes effect at the start of the
 next interval, never retroactively. One metrics row is emitted per dwell
 segment; every interval additionally appends a row to the event log.
@@ -65,8 +64,11 @@ def generate_trace(seed: int, duration_s: float, grid=DISTANCE_GRID_M) -> Mobili
     """Alternating dwell/walk trace over the distance grid, 1 m/s walks."""
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    rng = np.random.default_rng(seed)
     grid = np.asarray(grid, dtype=float)
+    # A walk redraws its target until it differs from where it starts.
+    if len(set(grid.tolist())) < 2:
+        raise ValueError("grid must hold at least two distinct distances")
+    rng = np.random.default_rng(seed)
     phases = []
     t = 0.0
     pos = float(rng.choice(grid))
@@ -379,6 +381,9 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     data unit is nonzero, and compares the exceed rate against the binomial
     tail for the unit error process.
     """
+    for name, value in (("generations", generations), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     rng_channel = np.random.default_rng([seed, 2])
     n_bits = config.k_bits + config.r_bits
     codec = _build_codec(config, mdpc_max_iterations)

@@ -70,6 +70,13 @@ def test_encode_parameter_errors():
         codec.decode_batch(np.zeros((1, 8), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("max_iterations", [0, -1])
+def test_codec_rejects_max_iterations_below_one(max_iterations):
+    # With -1 the decoder ran no round and flagged clean words as failed.
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        MdpcCodec(3, 2, max_iterations=max_iterations)
+
+
 def test_decode_clean_block_is_idempotent(rng):
     codec = MdpcCodec(6, 2)
     data = rng.integers(0, 2, (1, 36)).astype(np.uint8)

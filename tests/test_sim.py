@@ -84,6 +84,14 @@ def test_trace_rejects_bad_duration():
         generate_trace(1, 0)
 
 
+@pytest.mark.parametrize("grid", [[20.0], [20.0, 20.0], []])
+def test_trace_rejects_grid_without_two_distances(grid):
+    # A walk redraws its target until it moves, which on such a grid used to
+    # loop forever.
+    with pytest.raises(ValueError, match="two distinct distances"):
+        generate_trace(1, 1000.0, grid=grid)
+
+
 # -- simulation ---------------------------------------------------------------
 
 
@@ -437,3 +445,14 @@ def test_residual_experiment_rejects_p_e_outside_unit_interval(p_e):
                         DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], m=3, n=2)
     with pytest.raises(ValueError, match="p_e"):
         residual_error_experiment(config, p_e, generations=100, seed=1)
+
+
+@pytest.mark.parametrize("name", ["generations", "batch_size"])
+def test_residual_experiment_rejects_counts_below_one(name):
+    # batch_size = 0 used to loop forever, and generations = 0 divided by
+    # zero after the loop.
+    config = LinkConfig(SCHEME_MDPC, Modulation.BPSK, 9, 7,
+                        DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], m=3, n=2)
+    counts = {"generations": 100, "batch_size": 10, name: 0}
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        residual_error_experiment(config, 0.01, seed=1, **counts)
