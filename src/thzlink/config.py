@@ -175,6 +175,8 @@ def _validate(spec: RunSpec) -> None:
         if value <= 0:
             bad(key, "must be positive")
 
+    if spec.seed < 0:
+        bad("seed", "must be >= 0")
     positive("duration_s", spec.duration_s)
     positive("update_interval_s", spec.update_interval_s)
     if spec.buffer_size < 1:

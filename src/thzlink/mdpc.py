@@ -84,30 +84,24 @@ class MdpcCodec:
         batch = bits.shape[0]
         m, n = self.m, self.n
         cells = tuple(range(1, n + 1))
-        cubes = bits.reshape((batch,) + (m + 1,) * n).copy()
+        cubes = sub = bits.reshape((batch,) + (m + 1,) * n).copy()
         iters = np.zeros(batch, dtype=np.int64)
         flips = np.zeros(batch, dtype=np.int64)
         ok = np.zeros(batch, dtype=bool)
-        active = np.ones(batch, dtype=bool)
+        idx = np.arange(batch)  # the rows still decoding; sub holds their cubes
         for round_no in range(self.max_iterations + 1):
-            if not np.any(active):
-                break
-            idx = np.nonzero(active)[0]
-            sub = cubes[idx]
             fdm = _fdm(sub)
             fmax = fdm.max(axis=cells)
             done = fmax < 2
             ok[idx[done]] = fmax[done] == 0
-            active[idx[done]] = False
             live = ~done
-            if not np.any(live):
-                break
-            if round_no >= self.max_iterations:
-                active[idx[live]] = False  # cap hit; ok stays False
-                break
-            mask = fdm[live] == fmax[live].reshape((-1,) + (1,) * n)
-            cubes[idx[live]] = sub[live] ^ mask.astype(np.uint8)
-            flips[idx[live]] += mask.sum(axis=cells)
-            iters[idx[live]] += 1
+            idx, sub, fdm, fmax = idx[live], sub[live], fdm[live], fmax[live]
+            if idx.size == 0 or round_no == self.max_iterations:
+                break  # at the cap the live rows' ok stays False
+            mask = fdm == fmax.reshape((-1,) + (1,) * n)
+            sub ^= mask
+            cubes[idx] = sub
+            flips[idx] += mask.sum(axis=cells)
+            iters[idx] += 1
         data = cubes[(slice(None),) + (slice(0, m),) * n].reshape(batch, -1)
         return data, iters, flips, ok

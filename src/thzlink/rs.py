@@ -64,9 +64,9 @@ def symbols_to_bits(symbols: np.ndarray, s: int) -> np.ndarray:
 class ReedSolomonCodec:
     """Encoder/decoder for a fixed symbol size and parity budget.
 
-    Instances precompute the inverse of the parity-position block of H and
-    are stateless after construction apart from per-length caches of H, so
-    one codec can serve any number of threads.
+    Instances precompute log H of the full-length code and the inverse of
+    its parity-position block, and are immutable after construction, so one
+    codec can serve any number of threads.
     """
 
     def __init__(self, s: int, r_symbols: int):
@@ -76,30 +76,28 @@ class ReedSolomonCodec:
         self.s = s
         self.r_symbols = r_symbols
         self.t = r_symbols // 2
-        if r_symbols >= self.gf.order - 1:
+        qm1 = self.gf.order - 1
+        if r_symbols >= qm1:
             raise ValueError("parity cannot fill the whole codeword")
-        # Per-k cache of log H for words of k data symbols.
-        self._syndrome_logs: dict[int, np.ndarray] = {}
-        # The parity symbols carry x^(r-1)..x^0 at every length, so the
-        # parity block of the shortest word's H serves them all.
-        parity_block = self.gf.exp[self._syndrome_log_matrix(1)[:, 1:]]
+        # log H at the full length, x-powers falling to 0. A word of L
+        # symbols uses the last L columns, so the parity symbols carry
+        # x^(r-1)..x^0 at every length and the last r columns serve them all.
+        powers = np.arange(qm1 - 1, -1, -1, dtype=np.int64)
+        i = np.arange(1, r_symbols + 1, dtype=np.int64)
+        self._syndrome_logs = (i[:, None] * powers[None, :]) % qm1
+        parity_block = self.gf.exp[self._syndrome_logs[:, qm1 - r_symbols:]]
         self._parity_inv_logs = self.gf.log[self.gf.inv_matrix(parity_block)]
 
     def _syndrome_log_matrix(self, k_symbols: int) -> np.ndarray:
-        mat = self._syndrome_logs.get(k_symbols)
-        if mat is None:
-            qm1 = self.gf.order - 1
-            length = k_symbols + self.r_symbols
-            if not self.r_symbols < length <= qm1:
-                raise ValueError(
-                    f"a word of {length} symbols does not fit a code with "
-                    f"{self.r_symbols} parity symbols over s={self.s}: need "
-                    f"{self.r_symbols} < length <= {qm1}")
-            powers = np.arange(length - 1, -1, -1, dtype=np.int64)  # x-power per position
-            i = np.arange(1, self.r_symbols + 1, dtype=np.int64)
-            mat = (i[:, None] * powers[None, :]) % qm1
-            self._syndrome_logs[k_symbols] = mat
-        return mat
+        """log H of a word of k data symbols: a view of the full table."""
+        qm1 = self.gf.order - 1
+        length = k_symbols + self.r_symbols
+        if not self.r_symbols < length <= qm1:
+            raise ValueError(
+                f"a word of {length} symbols does not fit a code with "
+                f"{self.r_symbols} parity symbols over s={self.s}: need "
+                f"{self.r_symbols} < length <= {qm1}")
+        return self._syndrome_logs[:, qm1 - length:]
 
     # -- encoding ---------------------------------------------------------
 

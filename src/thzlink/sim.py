@@ -22,8 +22,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import RunSpec
-from .control import AdaptiveController, BerMessage, LinkConfig, SCHEME_RS
+from .config import RunSpec, SpecError
+from .control import (AdaptiveController, BerMessage, LinkConfig, SCHEME_MDPC,
+                      SCHEME_RS, optimize_for_distance)
 from .mdpc import DEFAULT_MAX_ITERATIONS, MdpcCodec
 from .modem import BerTable, sample_flip_mask, symbol_error_prob, transmit
 # Nothing here calls symbols_to_bits; perfbench/spans.py patches it by name.
@@ -32,6 +33,11 @@ from .rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 DISTANCE_GRID_M = 0.5 + 0.5 * np.arange(40)  # 0.5 .. 20.0 m
 DWELL_CHOICES_S = (180.0, 240.0, 300.0, 360.0, 420.0)
 WALK_SPEED_MPS = 1.0
+
+# Most codeword bits one interval may draw (generations_per_interval times
+# the largest word the controller can activate): 55 times the default
+# spec's largest interval, RS(49116,12) at 100 generations, 4.9e6 bits.
+MAX_INTERVAL_BITS = 2 ** 28
 
 
 @dataclass(frozen=True)
@@ -241,6 +247,20 @@ class LinkSimulation:
             params=spec.optimizer_params(),
         )
         self.active_config = self.controller.current_config
+        # The controller activates only its boot config and the optimizer's
+        # choice at a table distance, so these bound every interval's word.
+        word = max([self.active_config] + [
+            optimize_for_distance(table, float(d), self.controller.rates,
+                                  self.controller.params)[1]
+            for d in table.distances], key=lambda c: c.k_bits + c.r_bits)
+        bits = (word.k_bits + word.r_bits) * spec.generations_per_interval
+        if bits > MAX_INTERVAL_BITS:
+            keys = "generations_per_interval"
+            if word.scheme == SCHEME_MDPC:
+                keys += " and m_max"
+            raise SpecError(
+                f"invalid {keys}: one interval of {word.describe()} words "
+                f"asks for {bits:.3g} bits, more than {MAX_INTERVAL_BITS:.3g}")
         self._pending: LinkConfig | None = None
         self._codecs: dict = {}
         # One (time, active config label, controller action) tuple per
@@ -384,6 +404,8 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     for name, value in (("generations", generations), ("batch_size", batch_size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     rng_channel = np.random.default_rng([seed, 2])
     n_bits = config.k_bits + config.r_bits
     codec = _build_codec(config, mdpc_max_iterations)
@@ -402,7 +424,9 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     done = 0
     while done < generations:
         batch = min(batch_size, generations - done)
-        received = transmit(np.zeros((batch, n_bits), np.uint8), p_e, rng_channel)
+        # transmit's XOR with a broadcast zero writes into the flip mask.
+        received = transmit(np.broadcast_to(np.uint8(0), (batch, n_bits)), p_e,
+                            rng_channel)
         if rs:
             received = bits_to_symbols(received, config.s)
         decoded, _, _ = _decode(codec, received)

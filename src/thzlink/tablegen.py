@@ -16,6 +16,7 @@ data can substitute its own CSV; nothing downstream depends on this model.
 """
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ from .modem import BerTable, Modulation
 # Probabilities below this are stored as exact zeros: at desk scale no run
 # pushes enough bits for them to matter, and the CSV stays readable.
 BER_FLOOR = 1e-15
+
+# Linear SNR factor of the 8PSK curve; keeps 8PSK at/above 16QAM.
+PSK8_SNR_PENALTY = 0.97
 
 
 def q_function(x: float) -> float:
@@ -43,15 +47,13 @@ class TableModel:
     absorption_db_per_m: float = 0.3
     anchor_distance_m: float = 20.0
     anchor_ber: float = 0.0579
-    psk8_snr_penalty: float = 0.97  # linear SNR factor; keeps 8PSK at/above 16QAM
-    floor: float = BER_FLOOR
 
     def distances(self) -> np.ndarray:
         count = int(round((self.d_max_m - self.d_min_m) / self.d_step_m)) + 1
         return self.d_min_m + self.d_step_m * np.arange(count)
 
 
-def _ber_from_snr(mod: Modulation, snr: float, model: TableModel) -> float:
+def _ber_from_snr(mod: Modulation, snr: float) -> float:
     if mod is Modulation.BPSK:
         return q_function(math.sqrt(2.0 * snr))
     if mod is Modulation.QPSK:
@@ -59,7 +61,7 @@ def _ber_from_snr(mod: Modulation, snr: float, model: TableModel) -> float:
     if mod is Modulation.QAM16:
         return 0.75 * q_function(math.sqrt(snr / 5.0))
     if mod is Modulation.PSK8:
-        return 0.75 * q_function(math.sqrt(model.psk8_snr_penalty * snr / 5.0))
+        return 0.75 * q_function(math.sqrt(PSK8_SNR_PENALTY * snr / 5.0))
     raise ValueError(mod)
 
 
@@ -67,15 +69,8 @@ def _calibrate_snr_ref_db(model: TableModel) -> float:
     """Choose snr_ref_db so the BPSK curve passes through the anchor point."""
     if not 0.0 < model.anchor_ber < 0.5:
         raise ValueError("anchor BER must lie in (0, 0.5)")
-    # Invert Q(sqrt(2*snr)) = anchor_ber by bisection on x = sqrt(2*snr).
-    lo, hi = 0.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if q_function(mid) > model.anchor_ber:
-            lo = mid
-        else:
-            hi = mid
-    snr_at_anchor = 0.5 * (0.5 * (lo + hi)) ** 2
+    # Q(x) = anchor_ber at x = sqrt(2*snr), the normal quantile up to sign.
+    snr_at_anchor = 0.5 * statistics.NormalDist().inv_cdf(model.anchor_ber) ** 2
     d = model.anchor_distance_m
     return (10.0 * math.log10(snr_at_anchor)
             + 10.0 * model.path_loss_exp * math.log10(d)
@@ -94,6 +89,6 @@ def generate_table(model: TableModel | None = None) -> BerTable:
                   - model.absorption_db_per_m * d)
         snr = 10.0 ** (snr_db / 10.0)
         for mod in Modulation:
-            ber = min(_ber_from_snr(mod, snr, model), 0.5)
-            values[mod][i] = 0.0 if ber < model.floor else ber
+            ber = min(_ber_from_snr(mod, snr), 0.5)
+            values[mod][i] = 0.0 if ber < BER_FLOOR else ber
     return BerTable(distances, values)

@@ -74,6 +74,7 @@ def test_duplicate_key_rejected():
 
 @pytest.mark.parametrize("line,key", [
     ("seed = x", "seed"),
+    ("seed = -1", "seed"),
     ("duration_s = -5", "duration_s"),
     ("buffer_size = 0", "buffer_size"),
     ("t_mdpc = 2", "t_mdpc"),

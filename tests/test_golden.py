@@ -21,6 +21,14 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def test_default_table_is_golden(default_table, tmp_path):
+    # Every run's p_e comes from this table; its calibration and floor are
+    # part of the data plane.
+    default_table.to_csv(tmp_path / "table.csv")
+    assert sha256(tmp_path / "table.csv") == (
+        "fcae7de47d1dada545ff55af6aad4a95d694feb9691ad9fee9f68c6fa795c655")
+
+
 def test_full_run_outputs_are_golden(full_run):
     spec, _ = full_run
     assert sha256(spec.metrics_path) == (

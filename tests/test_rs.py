@@ -264,6 +264,24 @@ def test_codeword_from_bits_roundtrip(rng):
         RsCodeword.from_bits(cw.to_bits(), 8, 10, 2)
 
 
+@pytest.mark.parametrize("s,r", [(3, 2), (3, 4), (4, 2), (4, 4)])
+def test_one_codec_serves_every_length(s, r, rng):
+    # One instance's syndrome table serves every length, in any order, as a
+    # fresh instance's does.
+    codec = ReedSolomonCodec(s, r)
+    lengths = list(range(r + 1, 2 ** s))
+    for length in lengths + lengths[::-1]:
+        data = rng.integers(0, 2, (8, s * (length - r)), dtype=np.uint8)
+        sent = codec.encode_batch(data)
+        received = sent ^ (rng.random(sent.shape) < 0.2) * rng.integers(
+            1, 2 ** s, sent.shape, dtype=np.uint16)
+        fresh = ReedSolomonCodec(s, r)
+        assert np.array_equal(sent, fresh.encode_batch(data))
+        for got, want in zip(codec.decode_symbols_batch(received),
+                             fresh.decode_symbols_batch(received)):
+            assert np.array_equal(got, want)
+
+
 def test_decode_rejects_wrong_length():
     codec = ReedSolomonCodec(4, 2)
     with pytest.raises(ValueError):

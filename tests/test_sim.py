@@ -5,7 +5,7 @@ import pytest
 
 from helpers import distance_at, tail_sigma
 from thzlink import sim as sim_module
-from thzlink.config import RunSpec
+from thzlink.config import RunSpec, SpecError
 from thzlink.control import (SCHEME_MDPC, SCHEME_RS, LinkConfig, OptimizerParams,
                              initial_link_config, optimize_for_distance)
 from thzlink.mdpc import MdpcCodec
@@ -93,6 +93,25 @@ def test_trace_rejects_grid_without_two_distances(grid):
 
 
 # -- simulation ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fields,keys", [
+    # 9.7e9 generations in 6060 s, so 3.9e10 bits per RS(49116,12) interval.
+    (dict(generations_per_interval=800_000), "generations_per_interval: "),
+    # MDPC(100000000)/16QAM at 0.5 m, 1e10 bits per interval.
+    (dict(m_max=10000), "generations_per_interval and m_max"),
+], ids=["generations_per_interval", "m_max"])
+def test_interval_too_large_is_rejected(default_table, fields, keys):
+    spec = RunSpec(table_path="unused", **fields)
+    with pytest.raises(SpecError, match=keys):
+        LinkSimulation(spec, default_table)
+
+
+def test_interval_bound_admits_t_mdpc_3(default_table):
+    # A static m_max ** n bound would ask 1.1e11 bits of three-dimensional
+    # MDPC, but on the default table the largest word stays RS(49116,12).
+    spec = RunSpec(table_path="unused", t_mdpc=3, t_rs=4)
+    LinkSimulation(spec, default_table)
 
 
 def all_zero_table():
@@ -385,8 +404,9 @@ def test_deliver_allocates_few_bytes_per_channel_bit():
 
 
 def test_residual_experiment_allocates_few_bytes_per_channel_bit():
-    # One batch of the longest RS words on a dense channel: the zero block,
-    # its flip mask and the packed symbols, with no payload, encode or
+    # One batch of the longest RS words on a dense channel: the flip mask
+    # and the packed symbols, with no zero block (transmit XORs a broadcast
+    # zero into the mask, 2.08 B/bit with a zero block), payload, encode or
     # unpacked copy of the sent words.
     batch, n_bits = 100, 12 * 4095
     config = LinkConfig(SCHEME_RS, Modulation.BPSK, n_bits - 24, 24,
@@ -402,7 +422,7 @@ def test_residual_experiment_allocates_few_bytes_per_channel_bit():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * batch * n_bits
+    assert peak <= 1.95 * batch * n_bits
 
 
 def test_payload_is_fair_bits():
@@ -445,6 +465,14 @@ def test_residual_experiment_rejects_p_e_outside_unit_interval(p_e):
                         DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], m=3, n=2)
     with pytest.raises(ValueError, match="p_e"):
         residual_error_experiment(config, p_e, generations=100, seed=1)
+
+
+def test_residual_experiment_rejects_negative_seed():
+    # numpy raised "expected non-negative integer", naming no parameter.
+    config = LinkConfig(SCHEME_MDPC, Modulation.BPSK, 9, 7,
+                        DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], m=3, n=2)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        residual_error_experiment(config, 0.01, generations=100, seed=-1)
 
 
 @pytest.mark.parametrize("name", ["generations", "batch_size"])

@@ -18,7 +18,7 @@ def test_grid_size_and_rows(default_table, tmp_path):
 def test_anchor_calibration(default_table):
     anchor = default_table.lookup(20.0, Modulation.BPSK)
     assert abs(anchor - 0.0579) / 0.0579 < 0.05  # spec tolerance
-    assert anchor == pytest.approx(0.0579, rel=1e-9)  # bisection is exact
+    assert anchor == pytest.approx(0.0579, rel=1e-9)  # the quantile is exact
 
 
 def test_custom_anchor():
