@@ -289,6 +289,9 @@ class AdaptiveController:
         self.rates = checked_per_modulation(
             "rates", DEFAULT_DATA_RATES_GBPS if rates is None else rates)
         self.params = params or OptimizerParams()
+        # The config a generation emits at each distance estimate_distance returns.
+        self.plan = {d: optimize_for_distance(table, d, self.rates, self.params)[1]
+                     for d in map(float, table.distances)}
         self.capacity = buffer_size
         self.current_config = initial_link_config(self.rates)
         self.buffer: list[float] = [0.0]
@@ -316,8 +319,8 @@ class AdaptiveController:
         return ControlAction("buffered-stable")
 
     def _generate(self, ber_m: float, n_compares: int) -> LinkConfig:
-        distance = estimate_distance(ber_m, self.current_config.modulation, self.table)
-        _, config = optimize_for_distance(self.table, distance, self.rates, self.params)
+        config = self.plan[estimate_distance(ber_m, self.current_config.modulation,
+                                             self.table)]
         units = complexity_units(n_compares + 1, len(MODULATIONS), len(SCHEMES))
         self.last_generation_units = units
         self.total_units += units

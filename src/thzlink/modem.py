@@ -82,8 +82,6 @@ class BerTable:
         i = int(np.searchsorted(d, distance))
         if i == 0:
             return 0
-        if i >= len(d):
-            return len(d) - 1
         # Ties snap to the larger distance (the more pessimistic channel).
         return i if (d[i] - distance) <= (distance - d[i - 1]) else i - 1
 

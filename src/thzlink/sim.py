@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import RunSpec, SpecError
 from .control import (AdaptiveController, BerMessage, LinkConfig, SCHEME_MDPC,
-                      SCHEME_RS, optimize_for_distance)
+                      SCHEME_RS)
 from .mdpc import DEFAULT_MAX_ITERATIONS, MdpcCodec
 from .modem import BerTable, sample_flip_mask, symbol_error_prob, transmit
 # Nothing here calls symbols_to_bits; perfbench/spans.py patches it by name.
@@ -68,8 +68,8 @@ class MobilityTrace:
 
 def generate_trace(seed: int, duration_s: float, grid=DISTANCE_GRID_M) -> MobilityTrace:
     """Alternating dwell/walk trace over the distance grid, 1 m/s walks."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration must be positive and finite, got {duration_s!r}")
     grid = np.asarray(grid, dtype=float)
     # A walk redraws its target until it differs from where it starts.
     if len(set(grid.tolist())) < 2:
@@ -237,6 +237,13 @@ class LinkSimulation:
         self.spec = spec
         self.table = table
         self.trace = trace or generate_trace(spec.seed, spec.duration_s)
+        # Every phase counts whole, even one the run's end cuts short.
+        ends = [d for p in self.trace.phases for d in (p.d0, p.d1)]
+        lo, hi = table.distances[0], table.distances[-1]
+        if not ends or not lo <= min(ends) <= max(ends) <= hi:
+            reach = f"reaches {min(ends):g}-{max(ends):g} m" if ends else "has no phases"
+            raise SpecError(f"invalid table_path: {spec.table_path} spans "
+                            f"{lo:g}-{hi:g} m but the trace {reach}")
         self.rng_data = np.random.default_rng([spec.seed, 1])
         self.rng_channel = np.random.default_rng([spec.seed, 2])
         self.controller = AdaptiveController(
@@ -247,12 +254,8 @@ class LinkSimulation:
             params=spec.optimizer_params(),
         )
         self.active_config = self.controller.current_config
-        # The controller activates only its boot config and the optimizer's
-        # choice at a table distance, so these bound every interval's word.
-        word = max([self.active_config] + [
-            optimize_for_distance(table, float(d), self.controller.rates,
-                                  self.controller.params)[1]
-            for d in table.distances], key=lambda c: c.k_bits + c.r_bits)
+        word = max([self.active_config, *self.controller.plan.values()],
+                   key=lambda c: c.k_bits + c.r_bits)
         bits = (word.k_bits + word.r_bits) * spec.generations_per_interval
         if bits > MAX_INTERVAL_BITS:
             keys = "generations_per_interval"
@@ -268,8 +271,8 @@ class LinkSimulation:
         self.interval_log: list[tuple[float, str, str]] = []
 
     def _codec_for(self, config: LinkConfig):
-        key = (config.scheme, config.k_bits, config.r_bits, config.s,
-               config.m, config.n)
+        # One codec serves every length of its (s, r), or its (m, n).
+        key = (config.scheme, config.s, config.r_bits, config.m, config.n)
         codec = self._codecs.get(key)
         if codec is None:
             codec = _build_codec(config, self.spec.mdpc_max_iterations)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from thzlink.config import RunSpec
-from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig
+from thzlink.control import SCHEME_MDPC, SCHEME_RS, AdaptiveController, LinkConfig
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, Modulation
 from thzlink.sim import LinkSimulation, MobilityTrace, TracePhase, residual_error_experiment
 
@@ -78,3 +78,15 @@ def test_untraced_benchmark_control_plane_surface(default_table):
     sizes = run.codeword_bits_by_label(RunSpec(table_path=""), default_table)
     assert sizes
     assert all(bits > 0 for bits in sizes.values())
+
+
+@pytest.mark.parametrize("t_rs", [1, 2])
+def test_benchmark_labels_match_controller_plan(default_table, t_rs):
+    # The benchmark sizes the interval log from its own copy of the
+    # controller's reachable configs; it must name the same ones.
+    spec = RunSpec(table_path="", t_rs=t_rs)
+    ctl = AdaptiveController(default_table, rates=spec.rate_gbps,
+                             params=spec.optimizer_params())
+    sizes = load("run").codeword_bits_by_label(spec, default_table)
+    assert set(sizes) == {c.describe() for c in [ctl.current_config,
+                                                 *ctl.plan.values()]}

@@ -48,6 +48,22 @@ def test_run_without_table_fails_loudly(capsys, tmp_path, monkeypatch):
     assert "table_path" in capsys.readouterr().err
 
 
+def test_run_rejects_table_short_of_the_trace(tmp_path, table_csv, capsys):
+    # The seed-1 trace leaves 2-10 m within 600 s; the run used to raise at
+    # 10.5 m after writing 31,754 bytes of events.log and no metrics.
+    full = BerTable.from_csv(table_csv)
+    keep = (full.distances >= 2.0) & (full.distances <= 10.0)
+    near = tmp_path / "near.csv"
+    BerTable(full.distances[keep],
+             {mod: full.column(mod)[keep] for mod in MODULATIONS}).to_csv(near)
+    out = tmp_path / "out"
+    assert run_cli("run", "--table", near, "--seed", 1, "--duration", 600,
+                   "--out", out) == 2
+    assert f"invalid table_path: {near} spans 2-10 m" in capsys.readouterr().err
+    assert not (out / "events.log").exists()
+    assert not (out / "metrics.csv").exists()
+
+
 def test_run_with_spec_file(tmp_path, table_csv):
     spec_file = tmp_path / "run.cfg"
     spec_file.write_text(

@@ -450,15 +450,37 @@ def test_controller_counts_complexity_units(default_table):
     assert ctl.total_units == 32
 
 
+def first_config(ctl, ber_m):
+    """The first config action while `ber_m` is reported at every update."""
+    for i in range(ctl.capacity + 1):
+        action = ctl.on_ber_update(BerMessage(ber_m, 0.5 * i))
+        if action.kind == "config":
+            return action
+    raise AssertionError("no config action")
+
+
 def test_controller_config_matches_one_shot_optimizer(default_table):
+    boot = initial_link_config().modulation
+    for params in (PARAMS, OptimizerParams(t_rs=2)):
+        for d in default_table.distances:
+            ctl = make_controller(default_table, params=params)
+            v = default_table.lookup(d, boot)
+            _, expected = optimize_for_distance(
+                default_table, estimate_distance(v, boot, default_table),
+                DEFAULT_DATA_RATES_GBPS, params)
+            assert first_config(ctl, v).config == expected, (params, d)
+
+
+def test_controller_generation_runs_no_optimizer(default_table, monkeypatch):
+    # The plan is built with the controller; a generation only reads it.
     ctl = make_controller(default_table)
+
+    def optimizer_called(*args, **kwargs):
+        raise AssertionError("optimize_for_distance called after __init__")
+
+    monkeypatch.setattr("thzlink.control.optimize_for_distance", optimizer_called)
     v = default_table.lookup(10.0, Modulation.QAM16)
-    for i in range(3):
-        ctl.on_ber_update(BerMessage(v, 0.5 * i))
-    action = ctl.on_ber_update(BerMessage(v, 1.5))
-    _, expected = optimize_for_distance(default_table, 10.0,
-                                        DEFAULT_DATA_RATES_GBPS, PARAMS)
-    assert action.config == expected
+    assert first_config(ctl, v).config == ctl.plan[10.0]
 
 
 def test_controller_epsilon_follows_current_modulation(default_table):

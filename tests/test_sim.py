@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -80,8 +81,10 @@ def test_trace_distance_interpolation():
 
 
 def test_trace_rejects_bad_duration():
-    with pytest.raises(ValueError):
-        generate_trace(1, 0)
+    # NaN gave an empty trace and inf never ended the dwell/walk loop.
+    for duration in (0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            generate_trace(1, duration)
 
 
 @pytest.mark.parametrize("grid", [[20.0], [20.0, 20.0], []])
@@ -112,6 +115,47 @@ def test_interval_bound_admits_t_mdpc_3(default_table):
     # MDPC, but on the default table the largest word stays RS(49116,12).
     spec = RunSpec(table_path="unused", t_mdpc=3, t_rs=4)
     LinkSimulation(spec, default_table)
+
+
+def table_between(table, lo, hi):
+    keep = (table.distances >= lo) & (table.distances <= hi)
+    return BerTable(table.distances[keep],
+                    {mod: table.column(mod)[keep] for mod in MODULATIONS})
+
+
+def test_table_must_span_the_trace(default_table):
+    # The seed-1 trace leaves 2-10 m within 600 s; the run used to stop
+    # there with a ValueError after writing part of events.log.
+    spec = RunSpec(table_path="near.csv", duration_s=600.0)
+    with pytest.raises(SpecError, match="table_path: near.csv spans 2-10 m"):
+        LinkSimulation(spec, table_between(default_table, 2.0, 10.0))
+    with pytest.raises(SpecError, match="table_path: .* the trace has no phases"):
+        LinkSimulation(spec, default_table, MobilityTrace(()))
+    # A walk counts whole although the run ends before it reaches 10.5 m.
+    walk = MobilityTrace((TracePhase("walk", 0.0, 100.0, 2.0, 10.5),))
+    with pytest.raises(SpecError, match="reaches 2-10.5 m"):
+        LinkSimulation(RunSpec(table_path="near.csv", duration_s=1.0),
+                       table_between(default_table, 2.0, 10.0), walk)
+
+
+def test_one_codec_per_rs_geometry(default_table, monkeypatch):
+    # RS(15,3) at 9 m and RS(9,3) at 10 m share s = 3 and r = 2 symbols.
+    built = []
+    init = ReedSolomonCodec.__init__
+
+    def spy(codec, s, r_symbols):
+        built.append((s, r_symbols))
+        init(codec, s, r_symbols)
+
+    monkeypatch.setattr(ReedSolomonCodec, "__init__", spy)
+    trace = MobilityTrace((TracePhase("dwell", 0.0, 10.0, 9.0, 9.0),
+                           TracePhase("dwell", 10.0, 20.0, 10.0, 10.0)))
+    sim = LinkSimulation(RunSpec(table_path="unused", duration_s=20.0),
+                         default_table, trace)
+    sim.run()
+    active = {label for _, label, _ in sim.interval_log}
+    assert {"RS(15,3)/16QAM", "RS(9,3)/16QAM"} <= active
+    assert built.count((3, 2)) == 1
 
 
 def all_zero_table():
