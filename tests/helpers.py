@@ -3,7 +3,7 @@
 import itertools
 import math
 
-from thzlink.modem import MODULATIONS, symbol_error_prob
+from thzlink.modem import MODULATIONS, BerTable, symbol_error_prob
 
 
 def tail_sigma(stats) -> float:
@@ -15,6 +15,13 @@ def tail_sigma(stats) -> float:
 def distance_at(trace, now: float) -> float:
     """Distance of a `MobilityTrace` at time `now`."""
     return trace.phases[trace.phase_index_at(now)].distance_at(now)
+
+
+def table_between(table, lo: float, hi: float) -> BerTable:
+    """The rows of `table` whose distance lies in [lo, hi]."""
+    keep = (table.distances >= lo) & (table.distances <= hi)
+    return BerTable(table.distances[keep],
+                    {mod: table.column(mod)[keep] for mod in MODULATIONS})
 
 
 def _feasible_codes(table, distance, params):

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import table_between
 from thzlink.cli import main
 from thzlink.modem import MODULATIONS, BerTable, Modulation
 
@@ -51,11 +52,8 @@ def test_run_without_table_fails_loudly(capsys, tmp_path, monkeypatch):
 def test_run_rejects_table_short_of_the_trace(tmp_path, table_csv, capsys):
     # The seed-1 trace leaves 2-10 m within 600 s; the run used to raise at
     # 10.5 m after writing 31,754 bytes of events.log and no metrics.
-    full = BerTable.from_csv(table_csv)
-    keep = (full.distances >= 2.0) & (full.distances <= 10.0)
     near = tmp_path / "near.csv"
-    BerTable(full.distances[keep],
-             {mod: full.column(mod)[keep] for mod in MODULATIONS}).to_csv(near)
+    table_between(BerTable.from_csv(table_csv), 2.0, 10.0).to_csv(near)
     out = tmp_path / "out"
     assert run_cli("run", "--table", near, "--seed", 1, "--duration", 600,
                    "--out", out) == 2

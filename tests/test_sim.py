@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import distance_at, tail_sigma
+from helpers import distance_at, table_between, tail_sigma
 from thzlink import sim as sim_module
 from thzlink.config import RunSpec, SpecError
 from thzlink.control import (SCHEME_MDPC, SCHEME_RS, LinkConfig, OptimizerParams,
@@ -115,12 +115,6 @@ def test_interval_bound_admits_t_mdpc_3(default_table):
     # MDPC, but on the default table the largest word stays RS(49116,12).
     spec = RunSpec(table_path="unused", t_mdpc=3, t_rs=4)
     LinkSimulation(spec, default_table)
-
-
-def table_between(table, lo, hi):
-    keep = (table.distances >= lo) & (table.distances <= hi)
-    return BerTable(table.distances[keep],
-                    {mod: table.column(mod)[keep] for mod in MODULATIONS})
 
 
 def test_table_must_span_the_trace(default_table):
