@@ -70,6 +70,18 @@ class MdpcCodec:
             cubes[tuple(dst)] = np.bitwise_xor.reduce(cubes[tuple(src)], axis=axis)
         return cubes.reshape(batch, -1)
 
+    def units(self, bits: np.ndarray) -> np.ndarray:
+        """Bits as the units the correction budget counts: bits."""
+        return bits
+
+    def decode_units(self, received: np.ndarray) -> tuple:
+        """(decoded data bits, ok, corrected) per row of a (B, n) block."""
+        decoded, _, flips, ok = self.decode_batch(received)
+        return decoded, ok, flips > 0
+
+    def unit_error_prob(self, p_e: float) -> float:
+        return p_e
+
     def decode_batch(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Decode (B, (m+1)^n) received bits, all rows together.
 

@@ -18,6 +18,7 @@ the staged pipeline for a closed form.
 import numpy as np
 
 from .gf import get_field
+from .modem import symbol_error_prob
 
 
 def _check_symbol_size(s: int) -> None:
@@ -115,6 +116,18 @@ class ReedSolomonCodec:
         return np.concatenate([data_syms, parity], axis=-1)
 
     # -- decoding ---------------------------------------------------------
+
+    def units(self, bits: np.ndarray) -> np.ndarray:
+        """Bits as the units the correction budget counts: s-bit symbols."""
+        return bits_to_symbols(bits, self.s)
+
+    def decode_units(self, received: np.ndarray) -> tuple:
+        """(decoded data symbols, ok, corrected) per row of a (B, L) block."""
+        out, counts, ok = self.decode_symbols_batch(received)
+        return out[:, :received.shape[1] - self.r_symbols], ok, counts > 0
+
+    def unit_error_prob(self, p_e: float) -> float:
+        return symbol_error_prob(p_e, self.s)
 
     def syndromes_batch(self, symbols: np.ndarray) -> np.ndarray:
         """Syndromes S_1..S_r for each row of a (B, k+r) symbol block."""

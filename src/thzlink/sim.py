@@ -10,13 +10,15 @@ next interval, never retroactively. One metrics row is emitted per dwell
 segment; every interval additionally appends a row to the event log.
 
 No output reports a walk, so a walk interval draws the channel and stops.
-In a dwell interval only the generations with a flipped bit are encoded,
-sent and decoded: both codes are linear and both decoders see a word only
-through its syndromes or parities, so a generation without flips arrives
-clean. So the residual-error experiment sends the all-zero codeword, and
-both paths decode through `_decode`.
+In a dwell interval only the generations with a flipped bit are sent and
+decoded. Both codes are linear and both decoders see a word only through
+its syndromes or parities, so every generation, here and in the
+residual-error experiment, sends the all-zero codeword: a generation without
+flips arrives clean, and a decoded word's data units are its wrong data.
+Each codec packs its own units and decodes them (`units`, `decode_units`).
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 
@@ -26,8 +28,9 @@ from .config import RunSpec, SpecError
 from .control import (AdaptiveController, BerMessage, LinkConfig, SCHEME_MDPC,
                       SCHEME_RS)
 from .mdpc import DEFAULT_MAX_ITERATIONS, MdpcCodec
-from .modem import BerTable, sample_flip_mask, symbol_error_prob, transmit
-# Nothing here calls symbols_to_bits; perfbench/spans.py patches it by name.
+from .modem import BerTable, sample_flip_mask, transmit
+# Nothing here calls bits_to_symbols or symbols_to_bits; perfbench/spans.py
+# patches both by name.
 from .rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 
 DISTANCE_GRID_M = 0.5 + 0.5 * np.arange(40)  # 0.5 .. 20.0 m
@@ -121,11 +124,21 @@ class MetricsRecord:
         return ",".join(parts)
 
 
-def write_metrics_csv(path, records) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(f.name for f in fields(MetricsRecord)) + "\n")
-        for rec in records:
-            fh.write(rec.to_csv_row() + "\n")
+def write_metrics_csv(fh, records) -> None:
+    """Write the header and one row per record to the open text file `fh`."""
+    fh.write(",".join(f.name for f in fields(MetricsRecord)) + "\n")
+    for rec in records:
+        fh.write(rec.to_csv_row() + "\n")
+
+
+def _open_output(key: str, path):
+    """`path` opened for writing, or a null context when it is None."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise SpecError(f"invalid {key}: cannot write {path}: {exc.strerror}") from None
 
 
 @dataclass
@@ -172,39 +185,12 @@ def _build_codec(config: LinkConfig, mdpc_max_iterations: int):
     return MdpcCodec(config.m, config.n, max_iterations=mdpc_max_iterations)
 
 
-def _payload(rng: np.random.Generator, batch: int, k: int) -> np.ndarray:
-    """A (batch, k) block of fair iid data bits, drawn as bytes.
-
-    Both codes are linear and both decoders see a word only through its
-    syndromes or parities, so no output depends on which bits are drawn.
-    """
-    return np.unpackbits(rng.integers(0, 256, (batch, -(-k // 8)), dtype=np.uint8),
-                         axis=1, count=k)
-
-
-def _decode(codec, received: np.ndarray) -> tuple:
-    """Decode a (B, units) received block: (decoded data units, ok, changed).
-
-    Units are what the correction budget counts: symbols for RS, bits for
-    MDPC. RS words start with their L - r data symbols, so RS data is never
-    unpacked; MDPC data units are the data bits. A row is changed when the
-    decoder corrected it.
-    """
-    if isinstance(codec, ReedSolomonCodec):
-        out, counts, ok = codec.decode_symbols_batch(received)
-        return out[:, :received.shape[1] - codec.r_symbols], ok, counts > 0
-    decoded, _, flips, ok = codec.decode_batch(received)
-    return decoded, ok, flips > 0
-
-
-def _carry(codec, k: int, flip_mask: np.ndarray, rng: np.random.Generator) -> Outcomes:
+def _carry(codec, k: int, flip_mask: np.ndarray) -> Outcomes:
     """Outcomes of a (B, n) block of k-data-bit generations flipped by `flip_mask`.
 
-    A row with no flipped bit decodes clean, so only the flipped rows get a
-    payload, an encode and a decode; their flips are added to the sent
-    units in place: the received block reuses the flips' buffer. RS packs
-    the flips before the payload is drawn, so no payload bits are held
-    while the word decodes.
+    Every generation sends the all-zero codeword. A row with no flipped bit
+    decodes clean, so only the flipped rows are sent and decoded; a decoded
+    row's data units are its wrong data.
     """
     batch = flip_mask.shape[0]
     # A mask holds only 0 and 1, so its bool view reduces exactly, and
@@ -213,19 +199,17 @@ def _carry(codec, k: int, flip_mask: np.ndarray, rng: np.random.Generator) -> Ou
     outcomes = Outcomes(sent=batch, error_free=batch - hit.size, data_bits=batch * k)
     if hit.size == 0:
         return outcomes
-    flips = flip_mask[hit]
-    if isinstance(codec, ReedSolomonCodec):
-        flips = bits_to_symbols(flips, codec.s)
-        sent = codec.encode_batch(_payload(rng, hit.size, k))
-        sent_data = sent[:, :k // codec.s]
-    else:
-        sent_data = _payload(rng, hit.size, k)
-        sent = codec.encode_batch(sent_data)
-    decoded, ok, changed = _decode(codec, np.bitwise_xor(sent, flips, out=flips))
+    received = codec.units(flip_mask[hit])
+    # The zero word's encode and this XOR change nothing. They stay while
+    # the benchmark's traced self-check `rs.encode_rows > 0` needs an
+    # encode; once it no longer does, both lines go.
+    np.bitwise_xor(received, codec.encode_batch(np.zeros((hit.size, k), np.uint8)),
+                   out=received)
+    decoded, ok, changed = codec.decode_units(received)
     outcomes.error_free += int(np.count_nonzero(ok & ~changed))
     outcomes.corrected = int(np.count_nonzero(ok & changed))
     outcomes.failed = int(np.count_nonzero(~ok))
-    outcomes.wrong_bits = int(np.bitwise_count(decoded ^ sent_data).sum())
+    outcomes.wrong_bits = int(np.bitwise_count(decoded).sum())
     return outcomes
 
 
@@ -244,7 +228,6 @@ class LinkSimulation:
             reach = f"reaches {min(ends):g}-{max(ends):g} m" if ends else "has no phases"
             raise SpecError(f"invalid table_path: {spec.table_path} spans "
                             f"{lo:g}-{hi:g} m but the trace {reach}")
-        self.rng_data = np.random.default_rng([spec.seed, 1])
         self.rng_channel = np.random.default_rng([spec.seed, 2])
         self.controller = AdaptiveController(
             table,
@@ -294,8 +277,7 @@ class LinkSimulation:
                                      self.rng_channel)
         ber_m = p_e if self.spec.ber_estimator == "exact" else float(flip_mask.mean())
         if outcomes is not None:
-            outcomes.add(_carry(self._codec_for(config), config.k_bits, flip_mask,
-                                self.rng_data))
+            outcomes.add(_carry(self._codec_for(config), config.k_bits, flip_mask))
         return ber_m
 
     def run(self, metrics_path=None, events_path=None) -> list:
@@ -303,16 +285,18 @@ class LinkSimulation:
         dt = spec.update_interval_s
         n_intervals = int(round(spec.duration_s / dt))
         records: list[MetricsRecord] = []
-        events = open(events_path, "w") if events_path else None
-
-        def log(now: float, event: str, detail: str) -> None:
-            if events is not None:
-                events.write(f"{now:g},{event},{detail}\n")
-
         phase_idx = -1
         # The open dwell's phase and its running outcome counts.
         dwell: tuple[TracePhase, Outcomes] | None = None
-        try:
+        # Both outputs open before the first interval, so a bad path fails
+        # before anything is simulated.
+        with (_open_output("metrics_path", metrics_path) as metrics,
+              _open_output("events_path", events_path) as events):
+
+            def log(now: float, event: str, detail: str) -> None:
+                if events is not None:
+                    events.write(f"{now:g},{event},{detail}\n")
+
             for i in range(n_intervals):
                 now = i * dt
                 if self._pending is not None:
@@ -347,11 +331,8 @@ class LinkSimulation:
                     log(now, action.kind, f"ber_m={ber_m!r};d={distance:g}")
             if dwell is not None:
                 records.append(_dwell_record(*dwell, self.active_config))
-        finally:
-            if events is not None:
-                events.close()
-        if metrics_path is not None:
-            write_metrics_csv(metrics_path, records)
+            if metrics is not None:
+                write_metrics_csv(metrics, records)
         return records
 
 
@@ -413,13 +394,6 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     n_bits = config.k_bits + config.r_bits
     codec = _build_codec(config, mdpc_max_iterations)
     t_budget = codec.t
-    rs = config.scheme == SCHEME_RS
-    if rs:
-        n_units = n_bits // config.s
-        unit_p = symbol_error_prob(p_e, config.s)
-    else:
-        n_units = n_bits
-        unit_p = p_e
 
     within_failures = 0
     exceed = 0
@@ -428,11 +402,9 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     while done < generations:
         batch = min(batch_size, generations - done)
         # transmit's XOR with a broadcast zero writes into the flip mask.
-        received = transmit(np.broadcast_to(np.uint8(0), (batch, n_bits)), p_e,
-                            rng_channel)
-        if rs:
-            received = bits_to_symbols(received, config.s)
-        decoded, _, _ = _decode(codec, received)
+        received = codec.units(transmit(np.broadcast_to(np.uint8(0), (batch, n_bits)),
+                                        p_e, rng_channel))
+        decoded, _, _ = codec.decode_units(received)
         injected = np.count_nonzero(received, axis=1)
         wrong = decoded.any(axis=1)
         within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
@@ -447,5 +419,6 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
         exceed_injected=exceed,
         data_failures=failures,
         empirical_exceed_rate=exceed / generations,
-        theoretical_tail=binomial_tail_above(n_units, unit_p, t_budget),
+        theoretical_tail=binomial_tail_above(received.shape[1],
+                                             codec.unit_error_prob(p_e), t_budget),
     )

@@ -17,7 +17,7 @@ data can substitute its own CSV; nothing downstream depends on this model.
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,9 @@ BER_FLOOR = 1e-15
 
 # Linear SNR factor of the 8PSK curve; keeps 8PSK at/above 16QAM.
 PSK8_SNR_PENALTY = 0.97
+
+# Most distances a generated table may hold: 250 times the default grid's 40.
+MAX_TABLE_DISTANCES = 10_000
 
 
 def q_function(x: float) -> float:
@@ -47,6 +50,25 @@ class TableModel:
     absorption_db_per_m: float = 0.3
     anchor_distance_m: float = 20.0
     anchor_ber: float = 0.0579
+
+    def __post_init__(self) -> None:
+        def bad(key, why):
+            raise ValueError(f"invalid {key}: {why}")
+
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                bad(f.name, f"must be finite, got {getattr(self, f.name)!r}")
+        for key in ("d_min_m", "d_step_m", "anchor_distance_m"):
+            if getattr(self, key) <= 0:
+                bad(key, f"must be > 0, got {getattr(self, key)!r}")
+        if self.d_max_m < self.d_min_m:
+            bad("d_max_m", f"must be >= d_min_m = {self.d_min_m!r}, got {self.d_max_m!r}")
+        count = (self.d_max_m - self.d_min_m) / self.d_step_m + 1
+        if count > MAX_TABLE_DISTANCES:
+            bad("d_step_m", f"{self.d_step_m!r} gives {count:.3g} distances from "
+                f"{self.d_min_m:g} to {self.d_max_m:g} m, more than {MAX_TABLE_DISTANCES}")
+        if not 0.0 < self.anchor_ber < 0.5:
+            bad("anchor_ber", f"must lie in (0, 0.5), got {self.anchor_ber!r}")
 
     def distances(self) -> np.ndarray:
         count = int(round((self.d_max_m - self.d_min_m) / self.d_step_m)) + 1
@@ -67,8 +89,6 @@ def _ber_from_snr(mod: Modulation, snr: float) -> float:
 
 def _calibrate_snr_ref_db(model: TableModel) -> float:
     """Choose snr_ref_db so the BPSK curve passes through the anchor point."""
-    if not 0.0 < model.anchor_ber < 0.5:
-        raise ValueError("anchor BER must lie in (0, 0.5)")
     # Q(x) = anchor_ber at x = sqrt(2*snr), the normal quantile up to sign.
     snr_at_anchor = 0.5 * statistics.NormalDist().inv_cdf(model.anchor_ber) ** 2
     d = model.anchor_distance_m

@@ -17,8 +17,7 @@ from thzlink.gf import get_field
 from thzlink.mdpc import DEFAULT_MAX_ITERATIONS
 from thzlink.modem import symbol_error_prob, transmit
 from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
-from thzlink.sim import (Outcomes, ResidualStats, _build_codec, _payload,
-                         binomial_tail_above)
+from thzlink.sim import Outcomes, ResidualStats, _build_codec, binomial_tail_above
 
 # -- scalar GF(2^s) arithmetic on the library's log/antilog tables ------------
 
@@ -459,7 +458,7 @@ def codeword_residual_stats(config, p_e: float, generations: int, seed: int,
     done = 0
     while done < generations:
         batch = min(batch_size, generations - done)
-        data = _payload(rng_data, batch, k)
+        data = rng_data.integers(0, 2, (batch, k), dtype=np.uint8)
         sent = codec.encode_batch(data)
         if rs:
             received = bits_to_symbols(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import table_between
+from thzlink import sim as sim_module
 from thzlink.cli import main
 from thzlink.modem import MODULATIONS, BerTable, Modulation
 
@@ -21,6 +22,26 @@ def test_gen_table(tmp_path, capsys):
     assert len(table.distances) == 40
     anchor = table.lookup(20.0, Modulation.BPSK)
     assert abs(anchor - 0.0579) / 0.0579 < 0.05
+
+
+@pytest.mark.parametrize("args, key", [
+    (("--step", 0), "d_step_m"),
+    (("--step", 1e-9), "d_step_m"),
+    (("--d-max", "inf"), "d_max_m"),
+    (("--d-max", 0.2), "d_max_m"),
+    (("--d-min", 0), "d_min_m"),
+    (("--d-min", -1), "d_min_m"),
+    (("--anchor-distance", 0), "anchor_distance_m"),
+    (("--anchor-ber", 0.7), "anchor_ber"),
+    (("--path-loss-exp", "nan"), "path_loss_exp"),
+])
+def test_gen_table_rejects_bad_model(tmp_path, capsys, args, key):
+    # These used to raise ZeroDivisionError or OverflowError, or to print
+    # "math domain error"; --step 1e-9 asked for 1.95e10 distances.
+    out = tmp_path / "table.csv"
+    assert run_cli("gen-table", "--out", out, *args) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid {key}: ")
+    assert not out.exists()
 
 
 def test_gen_table_monotone_columns(tmp_path):
@@ -73,6 +94,25 @@ def test_run_with_spec_file(tmp_path, table_csv):
     assert run_cli("run", "--spec", spec_file) == 0
     assert (tmp_path / "m.csv").exists()
     assert (tmp_path / "e.log").exists()
+
+
+@pytest.mark.parametrize("key", ["metrics_path", "events_path"])
+def test_run_rejects_unwritable_output_before_simulating(tmp_path, table_csv,
+                                                         capsys, monkeypatch, key):
+    # A metrics path in a missing directory used to fail with a traceback
+    # after the whole run, its metrics lost.
+    drawn = []
+    monkeypatch.setattr(sim_module, "sample_flip_mask",
+                        lambda *args: drawn.append(args))
+    paths = {"metrics_path": tmp_path / "m.csv", "events_path": tmp_path / "e.log"}
+    paths[key] = tmp_path / "nodir" / "out"
+    spec_file = tmp_path / "run.cfg"
+    spec_file.write_text(f"table_path = {table_csv}\nduration_s = 120\n"
+                         + "".join(f"{k} = {v}\n" for k, v in paths.items()))
+    assert run_cli("run", "--spec", spec_file) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: invalid {key}: cannot write {paths[key]}: ")
+    assert drawn == []
 
 
 def test_run_rejects_unknown_spec_key(tmp_path, table_csv, capsys):

@@ -11,10 +11,10 @@ from thzlink.control import (SCHEME_MDPC, SCHEME_RS, LinkConfig, OptimizerParams
                              initial_link_config, optimize_for_distance)
 from thzlink.mdpc import MdpcCodec
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
-                           sample_flip_mask)
+                           sample_flip_mask, symbol_error_prob)
 from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 from thzlink.sim import (DISTANCE_GRID_M, DWELL_CHOICES_S, LinkSimulation,
-                         MobilityTrace, Outcomes, TracePhase, _carry, _decode, _payload,
+                         MobilityTrace, Outcomes, TracePhase, _carry,
                          binomial_tail_above, generate_trace,
                          residual_error_experiment, run_simulation)
 
@@ -385,7 +385,7 @@ def _codec_id(codec):
     *[MdpcCodec(3, n) for n in (2, 3)],
 ], ids=_codec_id)
 def test_deliver_counts_wrong_data_bits(codec):
-    # `_decode` returns data units (RS symbols, MDPC bits); the wrong bits
+    # `decode_units` returns data units (RS symbols, MDPC bits); the wrong bits
     # counted on them equal the count on the unpacked data bits.
     rs = isinstance(codec, ReedSolomonCodec)
     k_bits = 6 * codec.s if rs else codec.k_bits
@@ -413,15 +413,39 @@ def test_deliver_counts_wrong_data_bits(codec):
         received = flip_bits(sent)
         sent_data = data
         decoded_bits = codec.decode_batch(received)[0]
-    decoded, ok, _ = _decode(codec, received)
+    decoded, ok, _ = codec.decode_units(received)
     wrong = np.bitwise_count(decoded ^ sent_data).sum(axis=1)
     assert np.array_equal(wrong, np.count_nonzero(decoded_bits != data, axis=1))
     assert not ok.all() and wrong.any()
 
 
+@pytest.mark.parametrize("codec", [ReedSolomonCodec(4, 4), MdpcCodec(3, 3)],
+                         ids=_codec_id)
+def test_codec_units_wrap_the_batch_decoder(codec):
+    # `units` and `decode_units` are the codec's own packing and batched
+    # decoder, with the data units cut out and the corrected flag derived.
+    rs = isinstance(codec, ReedSolomonCodec)
+    n_bits = 12 * codec.s if rs else codec.k_bits + codec.r_bits
+    bits = (np.random.default_rng(4).random((200, n_bits)) < 0.08).astype(np.uint8)
+    units = codec.units(bits)
+    decoded, ok, changed = codec.decode_units(units)
+    if rs:
+        assert np.array_equal(units, bits_to_symbols(bits, codec.s))
+        out, counts, want_ok = codec.decode_symbols_batch(units)
+        want = out[:, :12 - codec.r_symbols]
+        assert codec.unit_error_prob(0.03) == symbol_error_prob(0.03, codec.s)
+    else:
+        assert units is bits
+        want, _, counts, want_ok = codec.decode_batch(bits)
+        assert codec.unit_error_prob(0.03) == 0.03
+    assert np.array_equal(decoded, want) and np.array_equal(ok, want_ok)
+    assert np.array_equal(changed, counts > 0)
+    assert changed.any() and not ok.all()
+
+
 def test_deliver_allocates_few_bytes_per_channel_bit():
     # One interval of the longest RS words on a dense channel: packing,
-    # payload, encode and decode of the flipped rows together stay well
+    # the zero word's encode and decode of the flipped rows together stay well
     # below the 8 bytes per bit of a float64 field. The mask is drawn
     # before tracing starts.
     codec = ReedSolomonCodec(12, 2)
@@ -432,7 +456,7 @@ def test_deliver_allocates_few_bytes_per_channel_bit():
         mask = sample_flip_mask((batch, n_bits), 0.186, rng)
         tracemalloc.start()
         try:
-            _carry(codec, n_bits - 24, mask, rng)
+            _carry(codec, n_bits - 24, mask)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -461,15 +485,6 @@ def test_residual_experiment_allocates_few_bytes_per_channel_bit():
     finally:
         tracemalloc.stop()
     assert peak <= 1.95 * batch * n_bits
-
-
-def test_payload_is_fair_bits():
-    # No output depends on the payload (both codes are linear), so no golden
-    # hash would notice a payload that is not fair bits.
-    data = _payload(np.random.default_rng(2), 40, 1003)
-    assert data.shape == (40, 1003) and data.dtype == np.uint8
-    assert set(np.unique(data)) == {0, 1}
-    assert abs(int(data.sum()) - 40 * 1003 / 2) <= 3 * np.sqrt(40 * 1003 / 4)
 
 
 def test_binomial_tail():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thzlink.modem import MODULATIONS, BerTable, Modulation
-from thzlink.tablegen import TableModel, generate_table, q_function
+from thzlink.tablegen import MAX_TABLE_DISTANCES, TableModel, generate_table, q_function
 
 
 def test_grid_size_and_rows(default_table, tmp_path):
@@ -76,3 +76,35 @@ def test_q_function_basics():
 def test_bad_anchor_rejected():
     with pytest.raises(ValueError):
         generate_table(TableModel(anchor_ber=0.7))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_min_m", 0.0),
+    ("d_min_m", -1.0),
+    ("d_min_m", float("nan")),
+    ("d_max_m", float("inf")),
+    ("d_max_m", 0.4),
+    ("d_step_m", 0.0),
+    ("d_step_m", -0.5),
+    ("d_step_m", 1e-9),
+    ("d_step_m", 5e-324),
+    ("path_loss_exp", float("nan")),
+    ("absorption_db_per_m", float("-inf")),
+    ("anchor_distance_m", 0.0),
+    ("anchor_ber", 0.0),
+    ("anchor_ber", 0.5),
+])
+def test_model_rejects_bad_field(field, value):
+    with pytest.raises(ValueError, match=f"^invalid {field}: "):
+        TableModel(**{field: value})
+
+
+def test_model_distance_count_cap():
+    # At the cap the table still builds; one more distance is refused.
+    step = 1.0 / (MAX_TABLE_DISTANCES - 1)
+    table = generate_table(TableModel(d_min_m=1.0, d_max_m=2.0, d_step_m=step))
+    assert len(table.distances) == MAX_TABLE_DISTANCES
+    with pytest.raises(ValueError, match="^invalid d_step_m: "):
+        TableModel(d_min_m=1.0, d_max_m=2.0, d_step_m=1.0 / MAX_TABLE_DISTANCES)
+    # One distance is a table too.
+    assert len(generate_table(TableModel(d_min_m=3.0, d_max_m=3.0)).distances) == 1
