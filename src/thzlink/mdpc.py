@@ -4,7 +4,9 @@ Data bits fill an n-dimensional cube of side m; every axis-aligned line gets
 one even-parity bit, so the coded block is a cube of side m+1 carrying
 (m+1)^n - m^n redundant bits. The decoder counts, per cell, how many of the
 n lines through it fail (the failed-dimension marker) and repeatedly flips
-all cells holding the maximum count while that maximum is at least 2.
+all cells holding the maximum count while that maximum is at least 2. It
+keeps the line parities, the syndrome, rather than the cube: they are counted
+once from the set bits, and each round's flips toggle them.
 """
 
 import numpy as np
@@ -21,17 +23,19 @@ def correctable_bits_for(n: int) -> int:
     return 2 ** (n - 1) - 1
 
 
-def _fdm(cubes: np.ndarray) -> np.ndarray:
-    """Per-cell count of failing lines through that cell, for each cube.
-
-    Axis 0 indexes the cubes. The per-axis line parities are summed by
-    broadcasting, so no full-size accumulator is filled first.
-    """
-    fdm = 0
-    for axis in range(1, cubes.ndim):
-        line_parity = np.bitwise_xor.reduce(cubes, axis=axis).astype(np.int16)
-        fdm = fdm + np.expand_dims(line_parity, axis=axis)
-    return fdm
+def _line_parities(rows: np.ndarray, cells: np.ndarray, n_rows: int,
+                   side: int, n: int) -> np.ndarray:
+    """(n, side^(n-1), n_rows) parities of the lines through the (row, cell)
+    pairs: per axis, a cell's line is its cube coordinates without that axis,
+    laid out as `np.bitwise_xor.reduce` over the axis lays them out. Rows
+    are the last axis, so the marker sums run over contiguous rows."""
+    lines = side ** (n - 1)
+    parity = np.empty((n, lines, n_rows), dtype=np.uint8)
+    for axis in range(n):
+        stride = side ** (n - 1 - axis)
+        line = cells // (stride * side) * stride + cells % stride
+        parity[axis] = (np.bincount(line * n_rows + rows, minlength=lines * n_rows) & 1).reshape(lines, n_rows)
+    return parity
 
 
 class MdpcCodec:
@@ -86,34 +90,54 @@ class MdpcCodec:
         """Decode (B, (m+1)^n) received bits, all rows together.
 
         Returns (data bits (B, m^n), iterations, flipped counts, ok flags).
-        Each round recomputes the markers of the rows still live and flips,
-        in each, every cell holding that row's maximum, while the maximum is
-        at least 2 and the row is under the iteration cap. A row is ok only
-        when every line checks out; its data is the final cube state either
-        way.
+        Each round a cell's marker is the sum of the carried parities of its
+        n lines; every row still live flips each cell holding the row's
+        maximum, while that maximum is at least 2 and the row is under the
+        iteration cap. A row whose flips toggle no parity would flip the same
+        cells every round, so it ends at once with the result of the cap. A
+        row is ok only when every line checks out; its data is the final
+        cube state either way. Rows with no set bit finish at once: when the
+        zero word is sent, only the rows with a flip are decoded.
         """
         bits = np.asarray(bits, dtype=np.uint8)
+        m, n, cap = self.m, self.n, self.max_iterations
+        side = m + 1
+        width = side ** n
+        if bits.ndim != 2 or bits.shape[1] != width:
+            raise ValueError(f"MDPC({m},{n}) decodes (B, {width}) blocks, got shape {bits.shape}")
         batch = bits.shape[0]
-        m, n = self.m, self.n
-        cells = tuple(range(1, n + 1))
-        cubes = sub = bits.reshape((batch,) + (m + 1,) * n).copy()
+        out = bits.copy()
         iters = np.zeros(batch, dtype=np.int64)
         flips = np.zeros(batch, dtype=np.int64)
-        ok = np.zeros(batch, dtype=bool)
-        idx = np.arange(batch)  # the rows still decoding; sub holds their cubes
-        for round_no in range(self.max_iterations + 1):
-            fdm = _fdm(sub)
-            fmax = fdm.max(axis=cells)
+        ok = np.ones(batch, dtype=bool)
+        rows, cells = np.divmod(np.flatnonzero(bits.view(bool)), width)
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        idx = rows[first]  # the rows still decoding; parities holds their lines
+        ok[idx] = False
+        parities = _line_parities(np.cumsum(first) - 1, cells, idx.size, side, n)
+        for round_no in range(cap + 1):
+            if idx.size == 0:
+                break
+            per_axis = parities.reshape((n,) + (side,) * (n - 1) + (idx.size,))
+            marker = sum(np.expand_dims(p, axis) for axis, p in enumerate(per_axis))
+            marker = marker.reshape(width, idx.size)
+            fmax = marker.max(axis=0)
             done = fmax < 2
             ok[idx[done]] = fmax[done] == 0
-            live = ~done
-            idx, sub, fdm, fmax = idx[live], sub[live], fdm[live], fmax[live]
-            if idx.size == 0 or round_no == self.max_iterations:
-                break  # at the cap the live rows' ok stays False
-            mask = fdm == fmax.reshape((-1,) + (1,) * n)
-            sub ^= mask
-            cubes[idx] = sub
-            flips[idx] += mask.sum(axis=cells)
-            iters[idx] += 1
-        data = cubes[(slice(None),) + (slice(0, m),) * n].reshape(batch, -1)
-        return data, iters, flips, ok
+            if round_no == cap:
+                break  # the live rows' ok stays False
+            fmax[done] = n + 1  # above any marker: finished rows flip nothing
+            hit_cells, hit_rows = np.divmod(np.flatnonzero(marker == fmax), idx.size)
+            del marker
+            toggles = _line_parities(hit_rows, hit_cells, idx.size, side, n)
+            moved = toggles.any(axis=(0, 1))
+            # A row whose flips toggle no parity repeats this round up to the cap.
+            steps = np.where(done, 0, np.where(moved, 1, cap - round_no))
+            flips[idx] += np.bincount(hit_rows, minlength=idx.size) * steps
+            iters[idx] += steps
+            odd = steps[hit_rows] % 2 == 1
+            out.reshape(-1)[idx[hit_rows[odd]] * width + hit_cells[odd]] ^= 1
+            idx, parities = idx[moved], np.compress(moved, parities ^ toggles, axis=2)
+        data = out.reshape((batch,) + (side,) * n)[(slice(None),) + (slice(0, m),) * n]
+        return data.reshape(batch, m ** n), iters, flips, ok

@@ -6,10 +6,11 @@ well as corrections. Every output must match the reference exactly.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_codecs import (MdpcBlock, ScalarRsCodec, codeword_outcomes,
+from reference_codecs import (MdpcBlock, ScalarRsCodec, _fdm, codeword_outcomes,
                               codeword_residual_stats, mdpc_decode)
 from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig
 from thzlink.mdpc import MdpcCodec, parity_bits_for
@@ -93,6 +94,97 @@ def test_mdpc_iteration_cap_matches_reference(rng):
         res = mdpc_decode(MdpcBlock.from_bits(rx[i], 4, 3), 3)
         assert (res.iterations, res.flipped, res.ok) == (iters[i], flips[i], ok[i])
         assert np.array_equal(res.data, dec[i])
+
+
+def assert_mdpc_matches_reference(codec, rx):
+    """Every row of `codec.decode_batch(rx)` equals the per-word decode."""
+    dec, iters, flips, ok = codec.decode_batch(rx)
+    assert dec.shape == (len(rx), codec.k_bits)
+    for i, row in enumerate(rx):
+        res = mdpc_decode(MdpcBlock.from_bits(row, codec.m, codec.n), codec.max_iterations)
+        assert (res.iterations, res.flipped, res.ok) == (iters[i], flips[i], ok[i]), (
+            i, np.flatnonzero(row))
+        assert np.array_equal(res.data, dec[i]), (i, np.flatnonzero(row))
+    return dec, iters, flips, ok
+
+
+def zero_word_block(width, rows):
+    """The all-zero codeword received with each row's set of cells flipped."""
+    block = np.zeros((len(rows), width), dtype=np.uint8)
+    for bits, cells in zip(block, rows):
+        bits[list(cells)] = 1
+    return block
+
+
+@st.composite
+def zero_word_cases(draw):
+    """Geometry, cap and per-row error cells, up to 2^n + 2 per row."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, {2: 8, 3: 5, 4: 3}[n]))
+    width = (m + 1) ** n
+    cells = st.sets(st.integers(0, width - 1), max_size=min(2 ** n + 2, width))
+    return m, n, draw(st.integers(1, 10)), draw(st.lists(cells, max_size=ROWS))
+
+
+@SETTINGS
+@given(zero_word_cases())
+@example((4, 2, 10, []))
+@example((3, 3, 4, [set()] * 5))
+# MDPC(4,2): clean, corrected, stalled (two on one line) and oscillating
+# (a diagonal pair) rows in one block.
+@example((4, 2, 7, [set(), {7}, {5, 8}, {0, 12}, set(), {0, 12}, {6}]))
+def test_mdpc_zero_word_matches_reference(case):
+    # The experiment's real input: the all-zero codeword plus the flips.
+    m, n, max_iterations, rows = case
+    codec = MdpcCodec(m, n, max_iterations=max_iterations)
+    assert_mdpc_matches_reference(codec, zero_word_block((m + 1) ** n, rows))
+
+
+@pytest.mark.parametrize("m,n", [(30, 2), (10, 3)])
+def test_mdpc_sweep_geometries_match_reference(m, n, rng):
+    # codec-sweep's geometries at its p_e, where t errors are expected per word.
+    width = (m + 1) ** n
+    rx = (rng.random((300, width)) < (2 ** (n - 1) - 1) / width).astype(np.uint8)
+    _, _, flips, ok = assert_mdpc_matches_reference(MdpcCodec(m, n), rx)
+    assert ok.any() and (flips > 0).any() and not ok.all()
+
+
+def live_syndromes(cells, rounds):
+    """The line parities before each reference round, while the word is live."""
+    cube, out = cells.copy(), []
+    for _ in range(rounds):
+        fdm = _fdm(cube)
+        if fdm.max() < 2:
+            break
+        out.append(np.concatenate([np.bitwise_xor.reduce(cube, axis=a).reshape(-1)
+                                   for a in range(cube.ndim)]))
+        cube ^= fdm == fdm.max()
+    return out
+
+
+@pytest.mark.parametrize("max_iterations", range(1, 11))
+def test_mdpc_fixed_point_exit_matches_reference(max_iterations, rng):
+    # A diagonal pair flips the same four cells every round: the syndrome
+    # never changes, so the row runs to the cap, ending on the received
+    # data at even caps and four cells off it at odd caps.
+    codec = MdpcCodec(4, 2, max_iterations=max_iterations)
+    rx = zero_word_block(25, [{0, 12}])
+    dec, iters, flips, ok = assert_mdpc_matches_reference(codec, rx)
+    assert not ok[0] and iters[0] == max_iterations and flips[0] == 4 * max_iterations
+    wrong = np.count_nonzero(dec[0] != rx[0].reshape(5, 5)[:4, :4].reshape(-1))
+    assert wrong == 4 * (max_iterations % 2)
+
+    # Rows whose syndrome alternates between two values (period 2) take
+    # the ordinary rounds to the cap, beside rows that settle or stall.
+    codec = MdpcCodec(4, 3, max_iterations=max_iterations)
+    rx = (rng.random((400, 125)) < 0.05).astype(np.uint8)
+    period_2 = [i for i, row in enumerate(rx)
+                if len(syn := live_syndromes(row.reshape(5, 5, 5), 10)) == 10
+                and not np.array_equal(syn[-1], syn[-2])
+                and np.array_equal(syn[-1], syn[-3])]
+    assert period_2
+    _, iters, _, _ = assert_mdpc_matches_reference(codec, rx)
+    assert (iters[period_2] == max_iterations).all()
 
 
 @st.composite

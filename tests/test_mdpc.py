@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,12 @@ def test_encode_parameter_errors():
         MdpcCodec(1, 2)  # m too small
     with pytest.raises(ValueError):
         codec.decode_batch(np.zeros((1, 8), dtype=np.uint8))
+    # Set bits are placed modulo the block width, so a wrong width must be
+    # caught before they are: two words' worth in one row, and a bare row.
+    with pytest.raises(ValueError, match=r"\(B, 9\)"):
+        codec.decode_batch(np.ones((1, 18), dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"\(B, 9\)"):
+        codec.decode_batch(np.ones(9, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("max_iterations", [0, -1])
@@ -176,3 +183,19 @@ def test_codec_batch_matches_scalar_3d(rng):
         res = mdpc_decode(MdpcBlock.from_bits(rx[i], 3, 3))
         assert (res.iterations, res.flipped, res.ok) == (iters[i], flips[i], ok[i])
         assert np.array_equal(res.data, dec[i])
+
+
+def test_decode_allocates_under_3_5_bytes_per_bit(rng):
+    # The codec-sweep geometry at its own p_e, on the all-zero word: one
+    # copy of the block, and per round a one-byte marker and its mask over
+    # the rows still live; the cube itself is never reduced again.
+    codec = MdpcCodec(30, 2)
+    rx = (rng.random((2000, 961)) < 1 / 961).astype(np.uint8)
+    codec.decode_batch(rx)
+    tracemalloc.start()
+    try:
+        codec.decode_batch(rx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * rx.size
