@@ -296,7 +296,6 @@ class AdaptiveController:
         self.current_config = initial_link_config(self.rates)
         self.buffer: list[float] = [0.0]
         self.total_units = 0
-        self.last_generation_units = 0
         self.generations = 0
 
     def on_ber_update(self, msg: BerMessage) -> ControlAction:
@@ -321,8 +320,7 @@ class AdaptiveController:
     def _generate(self, ber_m: float, n_compares: int) -> LinkConfig:
         config = self.plan[estimate_distance(ber_m, self.current_config.modulation,
                                              self.table)]
-        units = complexity_units(n_compares + 1, len(MODULATIONS), len(SCHEMES))
-        self.last_generation_units = units
-        self.total_units += units
+        self.total_units += complexity_units(n_compares + 1, len(MODULATIONS),
+                                             len(SCHEMES))
         self.generations += 1
         return config

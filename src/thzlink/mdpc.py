@@ -72,7 +72,7 @@ class MdpcCodec:
             dst = [slice(None)] * (n + 1)
             dst[axis] = m
             cubes[tuple(dst)] = np.bitwise_xor.reduce(cubes[tuple(src)], axis=axis)
-        return cubes.reshape(batch, -1)
+        return cubes.reshape(batch, (m + 1) ** n)
 
     def units(self, bits: np.ndarray) -> np.ndarray:
         """Bits as the units the correction budget counts: bits."""

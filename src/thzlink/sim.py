@@ -33,6 +33,7 @@ from .modem import BerTable, sample_flip_mask, transmit
 # patches both by name.
 from .rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 
+# Only perfbench/run.py reads this, by name; a run walks its table's distances.
 DISTANCE_GRID_M = 0.5 + 0.5 * np.arange(40)  # 0.5 .. 20.0 m
 DWELL_CHOICES_S = (180.0, 240.0, 300.0, 360.0, 420.0)
 WALK_SPEED_MPS = 1.0
@@ -69,8 +70,8 @@ class MobilityTrace:
         return i
 
 
-def generate_trace(seed: int, duration_s: float, grid=DISTANCE_GRID_M) -> MobilityTrace:
-    """Alternating dwell/walk trace over the distance grid, 1 m/s walks."""
+def generate_trace(seed: int, duration_s: float, grid) -> MobilityTrace:
+    """Alternating dwell/walk trace over the distances in `grid`, 1 m/s walks."""
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration must be positive and finite, got {duration_s!r}")
     grid = np.asarray(grid, dtype=float)
@@ -220,7 +221,10 @@ class LinkSimulation:
                  trace: MobilityTrace | None = None):
         self.spec = spec
         self.table = table
-        self.trace = trace or generate_trace(spec.seed, spec.duration_s)
+        if trace is None and len(table.distances) < 2:
+            raise SpecError(f"invalid table_path: {spec.table_path} holds one distance; "
+                            "the trace walks between two or more")
+        self.trace = trace or generate_trace(spec.seed, spec.duration_s, table.distances)
         # Every phase counts whole, even one the run's end cuts short.
         ends = [d for p in self.trace.phases for d in (p.d0, p.d1)]
         lo, hi = table.distances[0], table.distances[-1]
@@ -336,10 +340,8 @@ class LinkSimulation:
         return records
 
 
-def run_simulation(spec: RunSpec, table: BerTable | None = None) -> list:
-    """Load the table if needed, run the full scenario, write both outputs."""
-    if table is None:
-        table = BerTable.from_csv(spec.table_path)
+def run_simulation(spec: RunSpec, table: BerTable) -> list:
+    """Run the full scenario on `table` and write both outputs."""
     sim = LinkSimulation(spec, table)
     return sim.run(metrics_path=spec.metrics_path, events_path=spec.events_path)
 

@@ -1,12 +1,20 @@
+import contextlib
+import csv
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import table_between
 from thzlink import sim as sim_module
 from thzlink.cli import main
 from thzlink.modem import MODULATIONS, BerTable, Modulation
+from thzlink.tablegen import TableModel, generate_table
 
 
 def run_cli(*args):
@@ -70,17 +78,73 @@ def test_run_without_table_fails_loudly(capsys, tmp_path, monkeypatch):
     assert "table_path" in capsys.readouterr().err
 
 
-def test_run_rejects_table_short_of_the_trace(tmp_path, table_csv, capsys):
-    # The seed-1 trace leaves 2-10 m within 600 s; the run used to raise at
-    # 10.5 m after writing 31,754 bytes of events.log and no metrics.
+def metrics_distances(out_dir) -> list:
+    with open(out_dir / "metrics.csv") as fh:
+        return [float(row["distance_m"]) for row in csv.DictReader(fh)]
+
+
+def test_run_walks_the_tables_own_grid(tmp_path, table_csv, capsys):
+    # The built-in trace used to walk 0.5-20 m in 0.5 m steps: the 2-10 m
+    # table was refused at seed 1 within 600 s, and the 0.25 m table was
+    # read only at its 0.5 m points.
     near = tmp_path / "near.csv"
     table_between(BerTable.from_csv(table_csv), 2.0, 10.0).to_csv(near)
-    out = tmp_path / "out"
-    assert run_cli("run", "--table", near, "--seed", 1, "--duration", 600,
+    fine = tmp_path / "fine.csv"
+    assert run_cli("gen-table", "--out", fine, "--step", 0.25) == 0
+    for table in (near, fine):
+        out = tmp_path / table.stem
+        assert run_cli("run", "--table", table, "--seed", 1, "--duration", 600,
+                       "--out", out) == 0
+        rows = metrics_distances(out)
+        assert rows and set(rows) <= set(BerTable.from_csv(table).distances.tolist())
+    assert any(d % 0.5 for d in metrics_distances(tmp_path / "fine"))
+    # One distance leaves the trace nowhere to walk.
+    one = tmp_path / "one.csv"
+    table_between(BerTable.from_csv(table_csv), 5.0, 5.0).to_csv(one)
+    out = tmp_path / "one"
+    assert run_cli("run", "--table", one, "--seed", 1, "--duration", 600,
                    "--out", out) == 2
-    assert f"invalid table_path: {near} spans 2-10 m" in capsys.readouterr().err
+    assert f"invalid table_path: {one} holds one distance" in capsys.readouterr().err
     assert not (out / "events.log").exists()
     assert not (out / "metrics.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def fine_table():
+    return generate_table(TableModel(d_step_m=0.25))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_on_any_cut_of_the_table(default_table, fine_table, data):
+    # A cut of the default model's table, on its 0.5 m grid or on a 0.25 m
+    # grid, thinned by a stride: the run completes on the cut's grid with
+    # consistent counts, or, for a single distance, is refused naming
+    # table_path.
+    base = data.draw(st.sampled_from([default_table, fine_table]))
+    count = data.draw(st.integers(1, 40))
+    start = data.draw(st.integers(0, len(base.distances) - count))
+    keep = slice(start, start + count, data.draw(st.integers(1, 4)))
+    cut = BerTable(base.distances[keep],
+                   {mod: base.column(mod)[keep] for mod in MODULATIONS})
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out, err = Path(tmp) / "cut.csv", Path(tmp) / "out", io.StringIO()
+        cut.to_csv(path)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_cli("run", "--table", path, "--out", out,
+                           "--seed", data.draw(st.integers(0, 2 ** 16)),
+                           "--duration", data.draw(st.integers(60, 300)))
+        if len(cut.distances) == 1:
+            assert code == 2 and "invalid table_path" in err.getvalue()
+            return
+        assert code == 0, err.getvalue()
+        grid = set(BerTable.from_csv(path).distances.tolist())
+        with open(out / "metrics.csv") as fh:
+            for row in csv.DictReader(fh):
+                assert float(row["distance_m"]) in grid
+                assert int(row["generations_sent"]) == sum(
+                    int(row[f"generations_{k}"])
+                    for k in ("error_free", "corrected", "failed"))
 
 
 def test_run_with_spec_file(tmp_path, table_csv):

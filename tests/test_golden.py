@@ -13,7 +13,7 @@ import pytest
 from thzlink.config import RunSpec
 from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, Modulation
-from thzlink.sim import (DISTANCE_GRID_M, LinkSimulation, generate_trace,
+from thzlink.sim import (LinkSimulation, generate_trace,
                          residual_error_experiment, run_simulation)
 
 
@@ -40,7 +40,7 @@ def test_full_run_outputs_are_golden(full_run):
 def test_lossy_t2_run_outputs_are_golden(default_table, tmp_path):
     # 300 s over 5-20 m with t_rs = 2: MDPC at 17.5 m, a walk, then RS(26
     # symbols, r = 4) at 7.5 m with thousands of dirty and failing words.
-    grid = DISTANCE_GRID_M[DISTANCE_GRID_M >= 5.0]
+    grid = default_table.distances[default_table.distances >= 5.0]
     spec = RunSpec(table_path="unused", seed=1, duration_s=300.0, t_rs=2,
                    metrics_path=str(tmp_path / "metrics.csv"),
                    events_path=str(tmp_path / "events.log"))

@@ -6,6 +6,7 @@ import pytest
 
 from reference_codecs import MdpcBlock, mdpc_decode, mdpc_encode
 from thzlink.mdpc import MdpcCodec, correctable_bits_for, parity_bits_for
+from thzlink.rs import ReedSolomonCodec
 
 
 def all_lines_even(cells: np.ndarray) -> bool:
@@ -59,6 +60,16 @@ def test_encoder_line_parity_invariant(m, n, rng):
         assert all_lines_even(cells)
         assert np.array_equal(cells[(slice(0, m),) * n].reshape(-1), bits)
         assert np.array_equal(row, mdpc_encode(bits, m, n).to_bits())
+
+
+@pytest.mark.parametrize("codec,k,n", [
+    (MdpcCodec(3, 2), 9, 16),
+    (MdpcCodec(2, 3), 8, 27),
+    (ReedSolomonCodec(4, 2), 4 * 5, 5 + 2),  # symbols out
+], ids=["mdpc-3-2", "mdpc-2-3", "rs-4-2"])
+def test_encode_takes_an_empty_block(codec, k, n):
+    # MDPC reshaped its cubes with -1, which numpy cannot resolve at 0 rows.
+    assert codec.encode_batch(np.zeros((0, k), np.uint8)).shape == (0, n)
 
 
 def test_encode_parameter_errors():

@@ -13,7 +13,7 @@ from thzlink.mdpc import MdpcCodec
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
                            sample_flip_mask, symbol_error_prob)
 from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
-from thzlink.sim import (DISTANCE_GRID_M, DWELL_CHOICES_S, LinkSimulation,
+from thzlink.sim import (DWELL_CHOICES_S, LinkSimulation,
                          MobilityTrace, Outcomes, TracePhase, _carry,
                          binomial_tail_above, generate_trace,
                          residual_error_experiment, run_simulation)
@@ -32,21 +32,21 @@ def stationary_trace(distance, duration):
 # -- mobility trace -----------------------------------------------------------
 
 
-def test_trace_is_deterministic():
-    a = generate_trace(42, 3600)
-    b = generate_trace(42, 3600)
+def test_trace_is_deterministic(default_table):
+    a = generate_trace(42, 3600, default_table.distances)
+    b = generate_trace(42, 3600, default_table.distances)
     assert a.phases == b.phases
 
 
-def test_trace_short_duration_single_segment():
-    trace = generate_trace(1, 50)
+def test_trace_short_duration_single_segment(default_table):
+    trace = generate_trace(1, 50, default_table.distances)
     assert len(trace.phases) == 1
     assert trace.phases[0].kind == "dwell"
 
 
-def test_trace_structure():
-    trace = generate_trace(9, 7200)
-    grid = set(float(d) for d in DISTANCE_GRID_M)
+def test_trace_structure(default_table):
+    trace = generate_trace(9, 7200, default_table.distances)
+    grid = set(float(d) for d in default_table.distances)
     last_pos = None
     for i, phase in enumerate(trace.phases):
         if phase.kind == "dwell":
@@ -63,8 +63,8 @@ def test_trace_structure():
     assert all(k1 != k2 for k1, k2 in zip(kinds, kinds[1:]))  # alternating
 
 
-def test_trace_segment_count_for_long_scenario():
-    trace = generate_trace(3, 60600)
+def test_trace_segment_count_for_long_scenario(default_table):
+    trace = generate_trace(3, 60600, default_table.distances)
     n = sum(phase.kind == "dwell" for phase in trace.phases)
     # Segment time ranges over [180.5, 439.5] s, bounding the count.
     assert 60600 // 440 <= n <= 60600 // 180 + 1
@@ -80,11 +80,11 @@ def test_trace_distance_interpolation():
     assert distance_at(trace, 15.0) == 8.0
 
 
-def test_trace_rejects_bad_duration():
+def test_trace_rejects_bad_duration(default_table):
     # NaN gave an empty trace and inf never ended the dwell/walk loop.
     for duration in (0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
-            generate_trace(1, duration)
+            generate_trace(1, duration, default_table.distances)
 
 
 @pytest.mark.parametrize("grid", [[20.0], [20.0, 20.0], []])
@@ -118,11 +118,13 @@ def test_interval_bound_admits_t_mdpc_3(default_table):
 
 
 def test_table_must_span_the_trace(default_table):
-    # The seed-1 trace leaves 2-10 m within 600 s; the run used to stop
-    # there with a ValueError after writing part of events.log.
+    # A given trace is not redrawn on the table's grid. The seed-1 trace
+    # over 0.5-20 m leaves 2-10 m within 600 s; the run used to stop there
+    # with a ValueError after writing part of events.log.
     spec = RunSpec(table_path="near.csv", duration_s=600.0)
     with pytest.raises(SpecError, match="table_path: near.csv spans 2-10 m"):
-        LinkSimulation(spec, table_between(default_table, 2.0, 10.0))
+        LinkSimulation(spec, table_between(default_table, 2.0, 10.0),
+                       generate_trace(1, 600.0, default_table.distances))
     with pytest.raises(SpecError, match="table_path: .* the trace has no phases"):
         LinkSimulation(spec, default_table, MobilityTrace(()))
     # A walk counts whole although the run ends before it reaches 10.5 m.
@@ -152,13 +154,12 @@ def test_one_codec_per_rs_geometry(default_table, monkeypatch):
     assert built.count((3, 2)) == 1
 
 
-def all_zero_table():
-    distances = [float(d) for d in DISTANCE_GRID_M]
+def all_zero_table(distances):
     return BerTable(distances, {mod: [0.0] * len(distances) for mod in MODULATIONS})
 
 
-def test_error_free_channel_runs_clean(table_csv):
-    table = all_zero_table()
+def test_error_free_channel_runs_clean(default_table, table_csv):
+    table = all_zero_table(default_table.distances)
     spec = spec_for(table_csv, duration_s=60.0)
     sim = LinkSimulation(spec, table, trace=stationary_trace(10.0, 60.0))
     records = sim.run()
