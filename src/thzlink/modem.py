@@ -121,11 +121,14 @@ class BerTable:
                     raise ValueError(f"{path}:{line_no}: {exc}") from None
                 rows[mod][d] = ber
         distances = sorted(rows[MODULATIONS[0]])
-        for mod in MODULATIONS:
-            if sorted(rows[mod]) != distances:
-                raise ValueError(f"distance grid for {mod.label} does not match")
-        values = {mod: [rows[mod][d] for d in distances] for mod in MODULATIONS}
-        return cls(distances, values)
+        try:
+            for mod in MODULATIONS:
+                if sorted(rows[mod]) != distances:
+                    raise ValueError(f"distance grid for {mod.label} does not match")
+            return cls(distances, {mod: [rows[mod][d] for d in distances]
+                                   for mod in MODULATIONS})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def symbol_error_prob(p_e: float, s: int) -> float:

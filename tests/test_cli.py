@@ -109,6 +109,21 @@ def test_run_walks_the_tables_own_grid(tmp_path, table_csv, capsys):
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("rows, message", [
+    ((), "distances must be a non-empty 1-D sequence"),
+    (("1.0,BPSK,0.0",), "distance grid for QPSK does not match"),
+])
+def test_table_errors_name_the_file(tmp_path, capsys, rows, message):
+    # Errors found once every row is read name the file, as row errors do.
+    table = tmp_path / "bad.csv"
+    table.write_text("\n".join(["distance_m,modulation,ber", *rows]) + "\n")
+    for args in (("run", "--table", table, "--out", tmp_path / "out"),
+                 ("optimize", "--table", table, "--distance", 1)):
+        assert run_cli(*args) == 2
+        assert f"error: {table}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "events.log").exists()
+
+
 @pytest.fixture(scope="module")
 def fine_table():
     return generate_table(TableModel(d_step_m=0.25))

@@ -103,8 +103,9 @@ def _scalar_class(scalar, bits, k_bits):
 def test_dwell_outcomes_follow_the_exact_law(laws, default_table, monkeypatch):
     # 9.0 m runs RS(15,3)/16QAM at p_e 0.0398 and 10.0 m RS(9,3)/16QAM at
     # 0.0600, once the controller has left its boot configuration. Each
-    # (code, p_e) group's class counts are held to its law: the simulator's
-    # own error-free, corrected and failed counts, split by the miscorrected
+    # (code, p_e) group's class counts are held to its law: the clean rows
+    # of each channel draw, and the simulator's own error-free, corrected
+    # and failed counts of each decoded segment, split by the miscorrected
     # rows that the decoder returns.
     spec = RunSpec(table_path="unused", seed=1, duration_s=600.0)
     trace = MobilityTrace((TracePhase("dwell", 0.0, 300.0, 9.0, 9.0),
@@ -112,6 +113,15 @@ def test_dwell_outcomes_follow_the_exact_law(laws, default_table, monkeypatch):
     sim = LinkSimulation(spec, default_table, trace)
     observed = defaultdict(lambda: np.zeros(4, np.int64))
     miscorrected = []  # per decoded block: (changed, unchanged) wrong rows
+    drawn = []  # per channel draw: (config, p_e)
+
+    sample = sim_module.sample_flip_mask
+
+    def sample_spy(shape, p_e, rng):
+        mask = sample(shape, p_e, rng)
+        drawn.append((sim.active_config.describe(), p_e))
+        observed[drawn[-1]][CLEAN] += int(np.count_nonzero(~mask.any(axis=1)))
+        return mask
 
     decode = ReedSolomonCodec.decode_symbols_batch
 
@@ -129,17 +139,17 @@ def test_dwell_outcomes_follow_the_exact_law(laws, default_table, monkeypatch):
         got = carry(codec, k, flip_mask)
         mis_changed = sum(changed for changed, _ in miscorrected)
         mis_zero = sum(zero for _, zero in miscorrected)
-        now = len(sim.interval_log) * spec.update_interval_s
-        distance = trace.phases[trace.phase_index_at(now)].d0
-        config = sim.active_config
-        key = (config.describe(), default_table.lookup(distance, config.modulation))
-        observed[key] += (got.error_free - mis_zero, got.corrected - mis_changed,
-                          mis_changed + mis_zero, got.failed)
+        # A segment is one dwell under one config, and it is decoded before
+        # any later draw, so the last draw was the segment's own.
+        observed[drawn[-1]] += (got.error_free - mis_zero, got.corrected - mis_changed,
+                                mis_changed + mis_zero, got.failed)
         return got
 
+    monkeypatch.setattr(sim_module, "sample_flip_mask", sample_spy)
     monkeypatch.setattr(ReedSolomonCodec, "decode_symbols_batch", decode_spy)
     monkeypatch.setattr(sim_module, "_carry", carry_spy)
-    sim.run()
+    records = sim.run()
+    assert sum(observed.values()).sum() == sum(r.generations_sent for r in records)
 
     for label, k_bits, p_e in (("RS(15,3)/16QAM", 15, 0.0398),
                                ("RS(9,3)/16QAM", 9, 0.0600)):

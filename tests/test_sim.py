@@ -224,39 +224,121 @@ def test_walk_clears_buffer_on_each_ber_jump(default_table, table_csv):
 
 def test_walk_intervals_draw_the_channel_only(default_table, table_csv, monkeypatch):
     # No output reports a walk interval's outcomes, so it draws its flips,
-    # which the controller's BER and the channel stream need, and stops.
+    # which the controller's BER and the channel stream need, and stages
+    # nothing. Every flipped row drawn in a dwell is decoded, in fewer
+    # decoder calls than the dwells have intervals.
     trace = MobilityTrace((TracePhase("dwell", 0.0, 10.0, 12.0, 12.0),
                            TracePhase("walk", 10.0, 16.0, 12.0, 18.0),
                            TracePhase("dwell", 16.0, 30.0, 18.0, 18.0)))
     spec = spec_for(table_csv, duration_s=30.0)
     sim = LinkSimulation(spec, default_table, trace=trace)
-    calls = []  # (interval index, what was called)
+    flipped = []  # per channel draw: (interval index, rows with a flip)
+    staged = []   # per interval: rows staged when it ends
+    decoded = []  # per decoder call: rows
 
-    def spy(owner, name, what):
-        fn = getattr(owner, name)
+    sample = sim_module.sample_flip_mask
 
-        def wrapper(*args, **kwargs):
-            calls.append((len(sim.interval_log), what))
-            return fn(*args, **kwargs)
+    def sample_spy(*args):
+        mask = sample(*args)
+        flipped.append((len(sim.interval_log), int(np.count_nonzero(mask.any(axis=1)))))
+        return mask
 
-        monkeypatch.setattr(owner, name, wrapper)
+    transmit = sim._transmit_interval
 
-    spy(sim_module, "sample_flip_mask", "flip")
-    for codec in (ReedSolomonCodec, MdpcCodec):
-        spy(codec, "encode_batch", "encode")
-    spy(ReedSolomonCodec, "decode_symbols_batch", "decode")
-    spy(MdpcCodec, "decode_batch", "decode")
+    def transmit_spy(*args):
+        ber_m = transmit(*args)
+        staged.append(sum(rows.shape[0] for rows in sim._staged))
+        return ber_m
+
+    carry = sim_module._carry
+
+    def carry_spy(codec, k, flip_mask):
+        decoded.append(flip_mask.shape[0])
+        return carry(codec, k, flip_mask)
+
+    monkeypatch.setattr(sim_module, "sample_flip_mask", sample_spy)
+    monkeypatch.setattr(sim, "_transmit_interval", transmit_spy)
+    monkeypatch.setattr(sim_module, "_carry", carry_spy)
     sim.run()
 
     walk = {i for i, (now, _, _) in enumerate(sim.interval_log) if 10.0 <= now < 16.0}
     assert len(walk) == 12
-    flips = [i for i, what in calls if what == "flip"]
-    assert flips == list(range(len(sim.interval_log)))
-    coded = {i for i, what in calls if what != "flip"}
-    assert not coded & walk
-    # The dwells on both sides of the walk do carry data.
-    assert {what for _, what in calls} == {"flip", "encode", "decode"}
-    assert min(coded) < min(walk) and max(coded) > max(walk)
+    assert [i for i, _ in flipped] == list(range(len(sim.interval_log)))
+    assert sum(n for i, n in flipped if i in walk) > 0
+    assert all(staged[i] == 0 for i in walk)
+    dwell_rows = sum(n for i, n in flipped if i not in walk)
+    assert dwell_rows > 0 and sum(decoded) == dwell_rows
+    assert len(decoded) < len(sim.interval_log) - len(walk)
+
+
+def test_staging_leaves_outputs_unchanged(default_table, table_csv, tmp_path,
+                                         monkeypatch):
+    # Flushing every interval, as decoding each interval on its own did, and
+    # flushing once per (dwell, config) segment give the default's bytes.
+    # The trace has stale intervals after mid-dwell config changes, a walk
+    # and an 18 m MDPC(4)/QPSK dwell, at t_rs = 2 on the sampled estimator;
+    # loose movement thresholds and a two-report buffer let its noisy
+    # reports re-plan.
+    trace = MobilityTrace((TracePhase("dwell", 0.0, 60.0, 12.0, 12.0),
+                           TracePhase("walk", 60.0, 66.0, 12.0, 18.0),
+                           TracePhase("dwell", 66.0, 120.0, 18.0, 18.0)))
+    epsilon = {mod: 0.03 for mod in MODULATIONS} | {Modulation.QPSK: 0.005}
+    carry = sim_module._carry
+    calls = []
+
+    def carry_spy(*args):
+        calls[-1] += 1
+        return carry(*args)
+
+    monkeypatch.setattr(sim_module, "_carry", carry_spy)
+
+    def outputs(tag):
+        calls.append(0)
+        paths = (tmp_path / f"metrics_{tag}.csv", tmp_path / f"events_{tag}.log")
+        spec = spec_for(table_csv, seed=3, duration_s=120.0, t_rs=2,
+                        ber_estimator="sampled", buffer_size=2, epsilon=epsilon,
+                        metrics_path=str(paths[0]), events_path=str(paths[1]))
+        sim = LinkSimulation(spec, default_table, trace=trace)
+        sim.run(*paths)
+        labels = [label for _, label, _ in sim.interval_log]
+        assert labels[:2] == ["RS(224,8)/16QAM"] * 2 and labels[2] == "RS(252,6)/QPSK"
+        assert labels.count("MDPC(4)/QPSK") > 50
+        return [path.read_bytes() for path in paths]
+
+    default = outputs("default")
+    for stage_bits in (1, 2 ** 40):
+        monkeypatch.setattr(sim_module, "STAGE_BITS", stage_bits)
+        assert outputs(stage_bits) == default
+    # Each setting batches differently: the default flushes mid-segment.
+    assert calls[1] > calls[0] > calls[2]
+
+
+def test_staged_rows_stay_within_stage_bits(default_table, table_csv):
+    # A 5 m dwell on RS(3159,9)/16QAM stages about 62 flipped rows of 3177
+    # bits per interval. A flush once STAGE_BITS wait bounds the peak by
+    # STAGE_BITS plus one interval's mask (4.6 times their sum measured),
+    # however long the dwell.
+    spec = spec_for(table_csv, duration_s=1000.0)
+    sim = LinkSimulation(spec, default_table, trace=stationary_trace(5.0, 1000.0))
+    sim.active_config = sim.controller.plan[5.0]
+    assert sim.active_config.describe() == "RS(3159,9)/16QAM"
+    mask_bits = spec.generations_per_interval * (sim.active_config.k_bits
+                                                 + sim.active_config.r_bits)
+
+    def peak(intervals):
+        tracemalloc.start()
+        try:
+            outcomes = Outcomes()
+            for _ in range(intervals):
+                sim._transmit_interval(5.0, outcomes)
+            sim._flush()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)
+    for intervals in (20, 200):
+        assert peak(intervals) <= 6 * (sim_module.STAGE_BITS + mask_bits)
 
 
 @pytest.mark.parametrize("t_rs", [1, 2])
@@ -309,6 +391,7 @@ def test_sampled_estimator_reports_measured_ber(default_table, table_csv):
     sim = LinkSimulation(spec, default_table, trace=stationary_trace(19.0, 10.0))
     stats = Outcomes()
     ber_m = sim._transmit_interval(19.0, stats)
+    sim._flush()
     p_e = default_table.lookup(19.0, Modulation.QAM16)
     n_bits = spec.generations_per_interval * 240
     sigma = (p_e * (1 - p_e) / n_bits) ** 0.5
