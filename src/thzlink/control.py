@@ -54,6 +54,10 @@ class LinkConfig:
     n: int | None = None  # MDPC dimension count
 
     def __post_init__(self):
+        for key in ("k_bits", "r_bits", "s"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"invalid {key}: must be >= 1, got {value!r}")
         if self.scheme == SCHEME_RS:
             if self.s is None or self.k_bits % self.s or self.r_bits % self.s:
                 raise ValueError("RS config needs k/r divisible by the symbol size")

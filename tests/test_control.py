@@ -364,6 +364,20 @@ def test_link_config_validation():
         LinkConfig("LDPC", Modulation.BPSK, 4, 5, 1.0)
 
 
+@pytest.mark.parametrize("sizes,key", [
+    # s = 0 raised ZeroDivisionError; s = -4 was accepted.
+    ((8, 8, 0), "s"), ((8, 8, -4), "s"),
+    # k_bits + r_bits == 0 made code_rate divide by zero.
+    ((0, 8, 4), "k_bits"), ((8, 0, 4), "r_bits"), ((0, 0, 4), "k_bits"),
+])
+def test_link_config_rejects_sizes_below_one(sizes, key):
+    k_bits, r_bits, s = sizes
+    with pytest.raises(ValueError, match=f"invalid {key}: must be >= 1"):
+        LinkConfig(SCHEME_RS, Modulation.BPSK, k_bits, r_bits, 7.04, s=s)
+    # One-bit symbols stay a valid RS geometry.
+    assert LinkConfig(SCHEME_RS, Modulation.BPSK, 4, 5, 1.0, s=1).code_rate == 4 / 9
+
+
 # -- complexity ---------------------------------------------------------------
 
 

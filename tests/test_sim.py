@@ -95,6 +95,13 @@ def test_trace_rejects_grid_without_two_distances(grid):
         generate_trace(1, 1000.0, grid=grid)
 
 
+@pytest.mark.parametrize("grid", [[1.0, math.nan], [1.0, math.inf]])
+def test_trace_rejects_non_finite_grid(grid):
+    # [1.0, nan] gave phases at NaN, which no table lookup accepts.
+    with pytest.raises(ValueError, match="grid must hold finite distances"):
+        generate_trace(1, 1000.0, grid=grid)
+
+
 # -- simulation ---------------------------------------------------------------
 
 
@@ -129,9 +136,16 @@ def test_table_must_span_the_trace(default_table):
         LinkSimulation(spec, default_table, MobilityTrace(()))
     # A walk counts whole although the run ends before it reaches 10.5 m.
     walk = MobilityTrace((TracePhase("walk", 0.0, 100.0, 2.0, 10.5),))
-    with pytest.raises(SpecError, match="reaches 2-10.5 m"):
+    with pytest.raises(SpecError, match="reaches 10.5 m"):
         LinkSimulation(RunSpec(table_path="near.csv", duration_s=1.0),
                        table_between(default_table, 2.0, 10.0), walk)
+    # min and max skipped a NaN after the first endpoint, so this run was
+    # accepted, wrote events.log and then raised ValueError from the lookup.
+    nan_walk = MobilityTrace((TracePhase("dwell", 0.0, 5.0, 3.0, 3.0),
+                              TracePhase("walk", 5.0, 10.0, 3.0, math.nan)))
+    with pytest.raises(SpecError, match="table_path: near.csv spans .* reaches nan m"):
+        LinkSimulation(RunSpec(table_path="near.csv", duration_s=10.0),
+                       default_table, nan_walk)
 
 
 def test_one_codec_per_rs_geometry(default_table, monkeypatch):
@@ -528,25 +542,30 @@ def test_codec_units_wrap_the_batch_decoder(codec):
 
 
 def test_deliver_allocates_few_bytes_per_channel_bit():
-    # One interval of the longest RS words on a dense channel: packing,
-    # the zero word's encode and decode of the flipped rows together stay well
-    # below the 8 bytes per bit of a float64 field. The mask is drawn
-    # before tracing starts.
-    codec = ReedSolomonCodec(12, 2)
-    batch, n_bits = 100, 12 * 4095
+    # Packing, the zero word's encode and decode of the flipped rows
+    # together stay well below the 8 bytes per bit of a float64 field. Each
+    # mask is drawn before tracing starts.
     rng = np.random.default_rng(6)
 
-    def carry():
-        mask = sample_flip_mask((batch, n_bits), 0.186, rng)
+    def peak(codec, k, mask):
+        _carry(codec, k, mask)
         tracemalloc.start()
         try:
-            _carry(codec, n_bits - 24, mask)
+            _carry(codec, k, mask)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    carry()
-    assert carry() <= 6.5 * batch * n_bits
+    # One interval of the longest RS words on a dense channel.
+    n_bits = 12 * 4095
+    mask = sample_flip_mask((100, n_bits), 0.186, rng)
+    assert peak(ReedSolomonCodec(12, 2), n_bits - 24, mask) <= 6.5 * mask.size
+    # MDPC(30,2) on the flipped rows only, as the simulator stages them: its
+    # units are the mask itself, so nothing copies it.
+    codec = MdpcCodec(30, 2)
+    mask = sample_flip_mask((2000, codec.k_bits + codec.r_bits), 0.002, rng)
+    mask = mask[mask.any(axis=1)]
+    assert peak(codec, codec.k_bits, mask) <= 3.75 * mask.size
 
 
 def test_residual_experiment_allocates_few_bytes_per_channel_bit():
