@@ -20,6 +20,9 @@ PRIMITIVE_POLYS = {
     12: 0b1000001010011,
 }
 
+# `GF.dot_logs` takes at most this many block elements at a time.
+DOT_SLICE = 1 << 16
+
 
 class GF:
     """GF(2^s): addition is XOR, multiplication via log/antilog tables.
@@ -71,13 +74,25 @@ class GF:
     def dot_logs(self, a: np.ndarray, log_mat: np.ndarray) -> np.ndarray:
         """Product a @ M.T of a (B, n) element block and M given as (m, n) logs.
 
-        Returns (B, m) elements, uint16. It is built one output column at a
-        time, so the largest temporary is (B, n), not (B, m, n).
+        Returns (B, m) elements, uint16. Only nonzero elements are multiplied,
+        in slices of whole rows of at most `DOT_SLICE` elements (or one row).
         """
-        logs = self.log[a]
-        out = np.empty((logs.shape[0], log_mat.shape[0]), dtype=self.exp.dtype)
-        for j, row in enumerate(log_mat):
-            out[:, j] = np.bitwise_xor.reduce(self.exp[logs + row], axis=1)
+        batch, n = a.shape
+        out = np.zeros((batch, log_mat.shape[0]), dtype=self.exp.dtype)
+        step = max(1, DOT_SLICE // n)
+        for r0 in range(0, batch, step):
+            part = a[r0:r0 + step].ravel()
+            # A bool mask and intp indices take numpy's fast paths.
+            flat = np.flatnonzero(part != 0)
+            if flat.size == 0:
+                continue
+            rows, cols = np.divmod(flat, n)
+            logs = self.log[part[flat].astype(np.intp)]
+            # Each row's run of nonzeros starts where its row index changes.
+            starts = np.flatnonzero(np.diff(rows, prepend=-1) != 0)
+            hit = rows[starts] + r0
+            for j, row in enumerate(log_mat):
+                out[hit, j] = np.bitwise_xor.reduceat(self.exp[logs + row[cols]], starts)
         return out
 
     def inv_matrix(self, mat: np.ndarray) -> np.ndarray:

@@ -150,6 +150,12 @@ SPARSE_FLIP_THRESHOLD = 64.0
 FLIP_CHUNK = 1 << 14
 
 
+# Every p_e = 0 mask is a read-only view of this zero block. It grows on demand
+# and is never written, so all callers share it; a contiguous view, unlike a
+# stride-0 broadcast, counts its nonzeros fast.
+_zeros = np.zeros(0, dtype=np.uint8)
+
+
 def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
     """Bit-flip indicator array for a BSC with crossover probability p_e.
 
@@ -159,19 +165,24 @@ def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
     ceil(E / -log1p(-p_e)) for a standard exponential E, divided as numpy's
     `Generator.geometric` divides below p = 1/3, so the gaps are its values.
 
+    `shape` is a tuple. At p_e = 0 the mask is a read-only zero view.
     Raises `ValueError` unless p_e is a number within [0, 1].
     """
+    global _zeros
     if not 0.0 <= p_e <= 1.0:  # also rejects NaN
         raise ValueError(f"p_e must be within [0, 1], got {p_e!r}")
     if p_e >= 1.0:
         return np.ones(shape, dtype=np.uint8)
-    # The mask owns its buffer (numpy reuses only temporaries that own their
-    # data), so `bits ^ mask` in transmit writes into it.
-    mask = np.zeros(shape, dtype=np.uint8)
+    size = math.prod(shape)
     if p_e == 0.0:
-        return mask
+        if _zeros.size < size:
+            _zeros = np.zeros(size, dtype=np.uint8)
+            _zeros.flags.writeable = False
+        return _zeros[:size].reshape(shape)
+    # For 0 < p_e < 1 the mask owns its buffer (numpy reuses only temporaries
+    # that own their data), so `bits ^ mask` in transmit writes into it.
+    mask = np.zeros(shape, dtype=np.uint8)
     flat = mask.reshape(-1)
-    size = flat.size
     # Chunks cover the mean flip count plus four sigmas, so one chunk
     # usually reaches the end of the mask.
     mean = p_e * size

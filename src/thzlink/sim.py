@@ -166,8 +166,12 @@ class Outcomes:
     data_bits: int = 0
 
     def add(self, other: "Outcomes") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        self.sent += other.sent
+        self.error_free += other.error_free
+        self.corrected += other.corrected
+        self.failed += other.failed
+        self.wrong_bits += other.wrong_bits
+        self.data_bits += other.data_bits
 
 
 def _dwell_record(phase: TracePhase, outcomes: Outcomes,
@@ -445,7 +449,7 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     done = 0
     while done < generations:
         batch = min(batch_size, generations - done)
-        # transmit's XOR with a broadcast zero writes into the flip mask.
+        # transmit's XOR with a broadcast zero writes into the flip mask if p_e > 0.
         received = codec.units(transmit(np.broadcast_to(np.uint8(0), (batch, n_bits)),
                                         p_e, rng_channel))
         decoded, _, _ = codec.decode_units(received)

@@ -5,7 +5,8 @@ algorithms are written in textbooks. Beyond GF arithmetic and bit packing
 they share no code with the library: RS encodes by long division by the
 generator polynomial, where the library solves the parity-check equations,
 and computes syndromes by Horner's rule. Differential tests hold the batched
-codecs to these results exactly.
+codecs to these results exactly. `dot_logs` is the dense block product the
+library used before its product followed the nonzero elements.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from thzlink.modem import symbol_error_prob, transmit
 from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 from thzlink.sim import Outcomes, ResidualStats, _build_codec, binomial_tail_above
 
-# -- scalar GF(2^s) arithmetic on the library's log/antilog tables ------------
+# -- GF(2^s) arithmetic on the library's log/antilog tables -------------------
 
 
 def gf_mul(gf, a: int, b: int) -> int:
@@ -41,6 +42,19 @@ def gf_pow(gf, a: int, k: int) -> int:
     if a == 0:
         return 0 if k > 0 else 1
     return int(gf.exp[(gf.log[a] * k) % (gf.order - 1)])
+
+
+def dot_logs(gf, a: np.ndarray, log_mat: np.ndarray) -> np.ndarray:
+    """Product a @ M.T of a (B, n) element block and M given as (m, n) logs.
+
+    Returns (B, m) elements, uint16. It is built one output column at a
+    time, so the largest temporary is (B, n), not (B, m, n).
+    """
+    logs = gf.log[a]
+    out = np.empty((logs.shape[0], log_mat.shape[0]), dtype=gf.exp.dtype)
+    for j, row in enumerate(log_mat):
+        out[:, j] = np.bitwise_xor.reduce(gf.exp[logs + row], axis=1)
+    return out
 
 
 # -- Reed-Solomon -------------------------------------------------------------

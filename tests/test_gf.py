@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reference_codecs import gf_div, gf_mul, gf_pow, gf_pow_alpha
-from thzlink.gf import GF, PRIMITIVE_POLYS, get_field
+from reference_codecs import dot_logs, gf_div, gf_mul, gf_pow, gf_pow_alpha
+from thzlink import gf as gf_module
+from thzlink.gf import DOT_SLICE, GF, PRIMITIVE_POLYS, get_field
 
 
 def slow_mul(a: int, b: int, s: int) -> int:
@@ -114,6 +119,47 @@ def test_dot_logs_matches_scalar_sums(s, rng):
             for i in range(9):
                 acc ^= gf_mul(gf, int(a[b, i]), int(mat[j, i]))
             assert out[b, j] == acc
+
+
+def _block(gf, shape, density, rng):
+    """Random elements, each nonzero with probability `density`."""
+    return rng.integers(1, gf.order, shape) * (rng.random(shape) < density)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(s=st.integers(2, 12), batch=st.integers(0, 40), n=st.integers(1, 40),
+       m=st.integers(1, 6), density=st.sampled_from([0.0, 0.05, 0.5, 0.92, 1.0]),
+       dtype=st.sampled_from([np.int64, np.uint16]), dot_slice=st.integers(1, 256),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(s=8, batch=0, n=5, m=3, density=1.0, dtype=np.uint16, dot_slice=DOT_SLICE, seed=0)
+@example(s=12, batch=9, n=1, m=2, density=0.5, dtype=np.int64, dot_slice=DOT_SLICE, seed=1)
+def test_dot_logs_matches_dense_reference(s, batch, n, m, density, dtype, dot_slice, seed):
+    # A small slice size splits the block into many slices, most of which
+    # end at an element count that falls inside a row.
+    gf = get_field(s)
+    rng = np.random.default_rng(seed)
+    a = _block(gf, (batch, n), density, rng).astype(dtype)
+    log_mat = gf.log[rng.integers(0, gf.order, (m, n))]
+    with mock.patch.object(gf_module, "DOT_SLICE", dot_slice):
+        out = gf.dot_logs(a, log_mat)
+    assert out.dtype == np.uint16 and out.shape == (batch, m)
+    assert np.array_equal(out, dot_logs(gf, a, log_mat))
+
+
+@pytest.mark.parametrize("s,shape,density", [
+    (12, (40, 4095), 0.92), (12, (40, 4095), 1.0), (12, (40, 4095), 0.0),
+    (12, (40, 4095), 1e-3), (4, (9000, 15), 0.5), (8, (300, 255), 1.0)])
+def test_dot_logs_matches_dense_reference_over_several_slices(s, shape, density):
+    # Each block holds more than DOT_SLICE elements, and no row count fills
+    # a slice exactly, so a slice's element count ends inside a row.
+    assert shape[0] * shape[1] > DOT_SLICE and DOT_SLICE % shape[1]
+    gf = get_field(s)
+    rng = np.random.default_rng(61)
+    a = _block(gf, shape, density, rng).astype(np.uint16)
+    log_mat = gf.log[rng.integers(0, gf.order, (3, shape[1]))]
+    out = gf.dot_logs(a, log_mat)
+    assert out.dtype == np.uint16
+    assert np.array_equal(out, dot_logs(gf, a, log_mat))
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 8, 12])

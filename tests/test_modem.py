@@ -143,9 +143,34 @@ def test_symbol_error_prob_monotonicity():
 def test_transmit_degenerate_probabilities(rng):
     bits = rng.integers(0, 2, 1000).astype(np.uint8)
     state = rng.bit_generator.state
-    assert np.array_equal(transmit(bits, 0.0, rng), bits)
+    clean = transmit(bits, 0.0, rng)
+    assert np.array_equal(clean, bits)
     assert np.array_equal(transmit(bits, 1.0, rng), bits ^ 1)
     assert rng.bit_generator.state == state  # no random numbers drawn
+    # The zero mask is read-only and shared; what transmit returns is neither.
+    assert clean.flags.writeable and not np.shares_memory(clean, bits)
+    clean ^= 1
+    assert not sample_flip_mask(bits.shape, 0.0, rng).any()
+
+
+def test_zero_flip_mask_is_a_read_only_zero_view(rng):
+    shape = (100, 49140)
+    state = rng.bit_generator.state
+    mask = sample_flip_mask(shape, 0.0, rng)
+    assert mask.dtype == np.uint8 and mask.shape == shape
+    assert not mask.any() and not mask.flags.writeable
+    assert rng.bit_generator.state == state  # no random numbers drawn
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 0] = 1
+    # The second draw views the block the first one grew.
+    tracemalloc.start()
+    try:
+        again = sample_flip_mask(shape, 0.0, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+    assert again.shape == shape and not again.any()
 
 
 def test_transmit_rejects_non_bit_dtypes(rng):
