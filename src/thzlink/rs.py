@@ -15,10 +15,16 @@ correction and re-verification. Single-error-correcting codes (r == 2) skip
 the staged pipeline for a closed form.
 """
 
+import math
+
 import numpy as np
 
 from .gf import get_field
 from .modem import symbol_error_prob
+
+
+# `bits_to_symbols` packs at most this many bits at a time (or one row).
+PACK_SLICE = 1 << 19
 
 
 def _check_symbol_size(s: int) -> None:
@@ -30,20 +36,43 @@ def _check_symbol_size(s: int) -> None:
 def bits_to_symbols(bits: np.ndarray, s: int) -> np.ndarray:
     """Pack a bit array (MSB first within each symbol) into s-bit symbols.
 
-    The symbols are built, and returned, in a uint16 accumulator (the
-    field's element type), one bit position per pass: 2 bytes per symbol
-    and pass, and few numpy calls for short words.
+    Returns uint16, the field's element type. Each row holds whole symbols,
+    so a slice of whole rows is one stream of s-bit fields. It is packed
+    into bytes once (`np.packbits`, MSB first), and eight symbols span s
+    bytes: symbol j of a group is the big-endian 32-bit window at byte
+    j*s // 8, shifted right by 32 - s - j*s % 8 and masked to s bits (it
+    and its offset take at most s + 7 <= 23 of the 32). Rows are taken
+    `PACK_SLICE` bits at a time (or one row), so the temporaries stay
+    bounded whatever the block.
     """
     bits = np.asarray(bits)
     _check_symbol_size(s)
-    if bits.shape[-1] % s != 0:
-        raise ValueError(f"bit length {bits.shape[-1]} not divisible by s={s}")
-    shaped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // s, s))
-    out = shaped[..., 0].astype(np.uint16)
-    for i in range(1, s):
-        out <<= 1
-        out |= shaped[..., i]
-    return out
+    n = bits.shape[-1]
+    if n % s != 0:
+        raise ValueError(f"bit length {n} not divisible by s={s}")
+    rows = bits.reshape(math.prod(bits.shape[:-1]), n)
+    per_row = n // s
+    total = rows.shape[0] * per_row
+    # A slice writes whole groups of eight symbols: up to 7 past its end,
+    # which the next slice, or this padding, takes.
+    out = np.empty(total + 7, dtype=np.uint16)
+    j = np.arange(8)
+    windows = j * s // 8
+    shifts = (32 - s - j * s % 8).astype(np.uint32)
+    step = max(1, PACK_SLICE // max(n, 1))
+    for r0 in range(0, rows.shape[0], step):
+        part = rows[r0:r0 + step]
+        groups = -(-part.shape[0] * per_row // 8)
+        packed = np.packbits(part)
+        # Zero padding to whole groups, and 3 bytes more for the last window.
+        buf = np.zeros(groups * s + 3, dtype=np.uint8)
+        buf[:packed.size] = packed
+        grid = np.ndarray((groups, s), dtype=">u4", buffer=buf, strides=(s, 1))
+        first = r0 * per_row
+        np.bitwise_and(grid[:, windows] >> shifts, (1 << s) - 1,
+                       out=out[first:first + 8 * groups].reshape(groups, 8),
+                       casting="unsafe")
+    return out[:total].reshape(bits.shape[:-1] + (per_row,))
 
 
 def symbols_to_bits(symbols: np.ndarray, s: int) -> np.ndarray:

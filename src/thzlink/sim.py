@@ -409,15 +409,30 @@ class ResidualStats:
 
 
 def binomial_tail_above(n: int, p: float, t: int) -> float:
-    """P[X > t] for X ~ Binomial(n, p)."""
-    if p <= 0.0:
+    """P[X > t] for X ~ Binomial(n, p).
+
+    One minus the terms up to t, while that is at least 0.01: the
+    subtraction then costs at most two of a float's 16 digits. A smaller
+    tail would cancel to a few digits, or to 0, so it is summed from its
+    own terms instead, t + 1 upward until they stop adding to it.
+    """
+    if p <= 0.0 or t >= n:
         return 0.0
     if p >= 1.0:
-        return 1.0 if t < n else 0.0
+        return 1.0
     acc = 0.0
     for i in range(t + 1):
         acc += math.comb(n, i) * (p ** i) * ((1.0 - p) ** (n - i))
-    return max(0.0, 1.0 - acc)
+    if 1.0 - acc >= 0.01:
+        return 1.0 - acc
+    tail = 0.0
+    term = math.comb(n, t + 1) * p ** (t + 1) * math.exp((n - t - 1) * math.log1p(-p))
+    for i in range(t + 1, n + 1):
+        if tail + term == tail:
+            break
+        tail += term
+        term *= (n - i) / (i + 1) * p / (1.0 - p)
+    return tail
 
 
 def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,

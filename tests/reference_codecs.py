@@ -6,7 +6,8 @@ they share no code with the library: RS encodes by long division by the
 generator polynomial, where the library solves the parity-check equations,
 and computes syndromes by Horner's rule. Differential tests hold the batched
 codecs to these results exactly. `dot_logs` is the dense block product the
-library used before its product followed the nonzero elements.
+library used before its product followed the nonzero elements, and
+`pack_symbols` the bit-by-bit packing it used before it packed bytes.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from thzlink.control import SCHEME_RS
 from thzlink.gf import get_field
 from thzlink.mdpc import DEFAULT_MAX_ITERATIONS
 from thzlink.modem import symbol_error_prob, transmit
-from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
+from thzlink.rs import ReedSolomonCodec, symbols_to_bits
 from thzlink.sim import Outcomes, ResidualStats, _build_codec, binomial_tail_above
 
 # -- GF(2^s) arithmetic on the library's log/antilog tables -------------------
@@ -54,6 +55,24 @@ def dot_logs(gf, a: np.ndarray, log_mat: np.ndarray) -> np.ndarray:
     out = np.empty((logs.shape[0], log_mat.shape[0]), dtype=gf.exp.dtype)
     for j, row in enumerate(log_mat):
         out[:, j] = np.bitwise_xor.reduce(gf.exp[logs + row], axis=1)
+    return out
+
+
+# -- bit packing --------------------------------------------------------------
+
+
+def pack_symbols(bits, s: int) -> np.ndarray:
+    """s-bit symbols (MSB first) of a bit array, as uint16.
+
+    One bit position per pass: the accumulator is shifted left and the
+    next bit of every symbol ORed in.
+    """
+    bits = np.asarray(bits)
+    shaped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // s, s))
+    out = shaped[..., 0].astype(np.uint16)
+    for i in range(1, s):
+        out <<= 1
+        out |= shaped[..., i]
     return out
 
 
@@ -121,7 +140,7 @@ class RsCodeword:
     @classmethod
     def from_bits(cls, bits: np.ndarray, s: int, k_symbols: int,
                   r_symbols: int) -> "RsCodeword":
-        symbols = bits_to_symbols(np.asarray(bits), s)
+        symbols = pack_symbols(np.asarray(bits), s)
         if symbols.shape[-1] != k_symbols + r_symbols:
             raise ValueError("bit length does not match the configured code")
         zero_pad = (1 << s) - 1 - (k_symbols + r_symbols)
@@ -151,7 +170,7 @@ class ScalarRsCodec:
         self.t = r_symbols // 2
 
     def encode(self, data_bits: np.ndarray) -> RsCodeword:
-        data_syms = bits_to_symbols(np.asarray(data_bits), self.s)
+        data_syms = pack_symbols(np.asarray(data_bits), self.s)
         parity = longdiv_parity(data_syms, self.s, self.r_symbols)
         symbols = np.concatenate([data_syms, np.asarray(parity, dtype=np.int64)])
         zero_pad = self.gf.order - 1 - len(symbols)
@@ -423,7 +442,7 @@ def codeword_outcomes(codec, k: int, flip_mask: np.ndarray,
     sent = codec.encode_batch(data)
     if isinstance(codec, ReedSolomonCodec):
         s = codec.s
-        received = bits_to_symbols(symbols_to_bits(sent, s) ^ flip_mask, s)
+        received = pack_symbols(symbols_to_bits(sent, s) ^ flip_mask, s)
         out, changed, ok = codec.decode_symbols_batch(received)
         decoded = symbols_to_bits(out[:, : k // s], s)
     else:
@@ -475,7 +494,7 @@ def codeword_residual_stats(config, p_e: float, generations: int, seed: int,
         data = rng_data.integers(0, 2, (batch, k), dtype=np.uint8)
         sent = codec.encode_batch(data)
         if rs:
-            received = bits_to_symbols(
+            received = pack_symbols(
                 transmit(symbols_to_bits(sent, s), p_e, rng_channel), s)
             out, _, _ = codec.decode_symbols_batch(received)
             wrong = np.any(out[:, : k // s] != sent[:, : k // s], axis=1)

@@ -1,12 +1,16 @@
 import itertools
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference_codecs import RsCodeword, ScalarRsCodec, longdiv_parity
-from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
+import thzlink.rs as rs_module
+from reference_codecs import RsCodeword, ScalarRsCodec, longdiv_parity, pack_symbols
+from thzlink.rs import PACK_SLICE, ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 
 VECTORS = Path(__file__).parent / "vectors" / "rs_vectors.txt"
 
@@ -125,6 +129,56 @@ def test_bit_symbol_packing_roundtrip(rng):
             bits_to_symbols(np.zeros(34, dtype=np.uint8), s)
         with pytest.raises(ValueError):
             symbols_to_bits(np.zeros(2, dtype=np.int64), s)
+
+
+@st.composite
+def bit_blocks(draw):
+    """(bits, s): 0/1 blocks of whole s-bit symbols, in every layout packed."""
+    s = draw(st.integers(1, 16))
+    lead = draw(st.one_of(st.just(()), st.tuples(st.integers(0, 50)),
+                          st.tuples(st.integers(0, 7), st.integers(0, 7))))
+    shape = lead + (s * draw(st.integers(0, 40)),)
+    dtype = draw(st.sampled_from([np.bool_, np.uint8]))
+    layout = draw(st.sampled_from(["contiguous", "column slice", "broadcast zero"]))
+    if layout == "broadcast zero":
+        return np.broadcast_to(np.zeros(1, dtype), shape), s
+    density = draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    wide = shape[:-1] + (shape[-1] + 5,)
+    bits = (rng.random(wide) < density).astype(dtype)
+    return (bits[..., 2:shape[-1] + 2] if layout == "column slice"
+            else np.ascontiguousarray(bits[..., :shape[-1]])), s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(block=bit_blocks(), pack_slice=st.integers(1, 2048))
+def test_bits_to_symbols_matches_the_shift_loop(block, pack_slice):
+    # A small slice size splits the block into many slices, most of which
+    # end inside a group of eight symbols.
+    bits, s = block
+    with mock.patch.object(rs_module, "PACK_SLICE", pack_slice):
+        symbols = bits_to_symbols(bits, s)
+    assert symbols.dtype == np.uint16
+    assert symbols.shape == bits.shape[:-1] + (bits.shape[-1] // s,)
+    assert np.array_equal(symbols, pack_symbols(bits, s))
+    assert np.array_equal(symbols_to_bits(symbols, s), bits)
+
+
+@pytest.mark.parametrize("s,shape", [(3, (576_000, 21)), (12, (250, 49140))])
+def test_packing_allocates_the_output_and_one_slice(s, shape):
+    # About 12 Mbit each, in short RS(21,3) rows and long RS(49116,12) rows.
+    # The 32-bit windows of a slice, gathered and shifted, take 8/s bytes
+    # per bit, so packed whole, the s = 3 block would need 32 MB beside its
+    # 8 MB output; one PACK_SLICE-bit slice needs under 4 bytes per bit.
+    bits = (np.random.default_rng(63).random(shape) < 0.5).astype(np.uint8)
+    bits_to_symbols(bits, s)
+    tracemalloc.start()
+    try:
+        symbols = bits_to_symbols(bits, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= symbols.nbytes + 4 * PACK_SLICE
 
 
 # -- decoding ---------------------------------------------------------------

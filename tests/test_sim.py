@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -595,6 +596,17 @@ def test_binomial_tail():
     assert binomial_tail_above(10, 1.0, 1) == 1.0
     # P[X > 1] for X ~ Binomial(4, 0.5) = 1 - (1 + 4) / 16
     assert binomial_tail_above(4, 0.5, 1) == pytest.approx(1 - 5 / 16)
+
+
+@pytest.mark.parametrize("n,p,t", [
+    (1000, 1e-9, 1), (4095, 1e-7, 2), (1000, 1e-12, 1), (100, 0.05, 11),
+    (100, 0.05, 10), (15, 0.0666, 1), (1331, 0.00225, 3), (10, 0.3, 9)])
+def test_binomial_tail_matches_exact_sum(n, p, t):
+    # 1 - sum cancelled on small tails: (1000, 1e-9, 1) read 4.712e-13
+    # against 4.995e-13, and (1000, 1e-12, 1) read 0.
+    q = Fraction(p)
+    lower = sum(math.comb(n, i) * q ** i * (1 - q) ** (n - i) for i in range(t + 1))
+    assert binomial_tail_above(n, p, t) == pytest.approx(float(1 - lower), rel=1e-12, abs=0)
 
 
 def test_residual_experiment_small(default_table):
