@@ -224,21 +224,17 @@ def candidates(p_by_mod: dict, rates: dict,
     return out
 
 
-def fallback_config(rates: dict) -> LinkConfig:
-    """Maximum-redundancy configuration used when nothing is feasible."""
-    return LinkConfig(SCHEME_MDPC, Modulation.BPSK, 4, 5,
-                      rates[Modulation.BPSK], m=2, n=2)
-
-
 def select_config(configs, rates: dict) -> LinkConfig:
     """Pick the feasible candidate (not None) with the highest throughput.
 
     Ties fall back to, in order: higher code rate, RS over MDPC, and the
-    higher-order modulation.
+    higher-order modulation. With none feasible it returns the
+    maximum-redundancy configuration, MDPC(4)/BPSK.
     """
     feasible = [c for c in configs if c is not None]
     if not feasible:
-        return fallback_config(rates)
+        return LinkConfig(SCHEME_MDPC, Modulation.BPSK, 4, 5,
+                          rates[Modulation.BPSK], m=2, n=2)
     return max(feasible, key=lambda c: (c.throughput_gbps, c.code_rate,
                                         c.scheme == SCHEME_RS,
                                         c.modulation.bits_per_symbol))

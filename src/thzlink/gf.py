@@ -62,11 +62,6 @@ class GF:
     def __repr__(self) -> str:
         return f"GF(2^{self.s})"
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(2^s)")
-        return int(self.exp[self.order - 1 - self.log[a]])
-
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two arrays of field elements."""
         return self.exp[self.log[a] + self.log[b]]
@@ -108,7 +103,8 @@ class GF:
                 raise ValueError("matrix is singular over GF(2^s)")
             pivot = col + nonzero[0]
             aug[[col, pivot]] = aug[[pivot, col]]
-            aug[col] = self.mul_vec(aug[col], self.inv(int(aug[col, col])))
+            # Scale the pivot row by the pivot's inverse, a^-1 = exp[order - 1 - log a].
+            aug[col] = self.mul_vec(aug[col], self.exp[self.order - 1 - self.log[aug[col, col]]])
             factors = aug[:, col].copy()
             factors[col] = 0
             aug ^= self.mul_vec(factors[:, None], aug[col][None, :])

@@ -14,15 +14,6 @@ import numpy as np
 DEFAULT_MAX_ITERATIONS = 10
 
 
-def parity_bits_for(m: int, n: int) -> int:
-    return (m + 1) ** n - m ** n
-
-
-def correctable_bits_for(n: int) -> int:
-    """Guaranteed correction capability: 2^(n-1) - 1 bit errors."""
-    return 2 ** (n - 1) - 1
-
-
 def _line_parities(rows: np.ndarray, cells: np.ndarray, n_rows: int,
                    side: int, n: int) -> np.ndarray:
     """(n, side^(n-1), n_rows) parities of the lines through the (row, cell)
@@ -49,9 +40,9 @@ class MdpcCodec:
         self.m = m
         self.n = n
         self.max_iterations = max_iterations
-        self.t = correctable_bits_for(n)
+        self.t = 2 ** (n - 1) - 1  # guaranteed correction capability, in bits
         self.k_bits = m ** n
-        self.r_bits = parity_bits_for(m, n)
+        self.r_bits = (m + 1) ** n - m ** n
 
     def encode_batch(self, data_bits: np.ndarray) -> np.ndarray:
         """Encode (B, m^n) data bits into (B, (m+1)^n) transmitted bits.

@@ -74,20 +74,17 @@ class BerTable:
     def column(self, mod: Modulation) -> np.ndarray:
         return self._values[mod]
 
-    def nearest_index(self, distance: float) -> int:
+    def lookup(self, distance: float, mod: Modulation) -> float:
+        """p_e at the grid distance nearest to the requested one."""
         d = self.distances
         if not (d[0] <= distance and distance <= d[-1]):  # also rejects NaN
             raise ValueError(
                 f"distance {distance} m outside table range [{d[0]}, {d[-1]}] m")
         i = int(np.searchsorted(d, distance))
-        if i == 0:
-            return 0
         # Ties snap to the larger distance (the more pessimistic channel).
-        return i if (d[i] - distance) <= (distance - d[i - 1]) else i - 1
-
-    def lookup(self, distance: float, mod: Modulation) -> float:
-        """p_e at the grid distance nearest to the requested one."""
-        return float(self._values[mod][self.nearest_index(distance)])
+        if i > 0 and (d[i] - distance) > (distance - d[i - 1]):
+            i -= 1
+        return float(self._values[mod][i])
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:

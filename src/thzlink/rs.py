@@ -179,10 +179,7 @@ class ReedSolomonCodec:
         syn = self.syndromes_batch(out)
         corrected = np.zeros(batch, dtype=np.int64)
         ok = np.ones(batch, dtype=bool)
-        dirty = np.any(syn != 0, axis=1)
-        if not np.any(dirty):
-            return out, corrected, ok
-        idx = np.nonzero(dirty)[0]
+        idx = np.flatnonzero(np.any(syn != 0, axis=1))
         if self.r_symbols == 2:
             self._decode_single_error_rows(out, syn, idx, corrected, ok)
         else:
@@ -235,8 +232,6 @@ class ReedSolomonCodec:
         keep = ~bad[row]
         out[idx[row[keep]], length - 1 - pos[keep]] ^= value[keep]
         idx, degree = idx[~bad], degree[~bad]
-        if idx.size == 0:
-            return
         clean = ~np.any(self.syndromes_batch(out[idx]) != 0, axis=1)
         corrected[idx[clean]] = degree[clean]
         ok[idx[clean]] = True

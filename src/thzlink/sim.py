@@ -24,6 +24,7 @@ Each codec packs its own units and decodes them (`units`, `decode_units`).
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -129,19 +130,14 @@ class MetricsRecord:
     generations_corrected: int
     generations_failed: int
 
-    def to_csv_row(self) -> str:
-        parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            parts.append(repr(value) if isinstance(value, float) else str(value))
-        return ",".join(parts)
-
 
 def write_metrics_csv(fh, records) -> None:
     """Write the header and one row per record to the open text file `fh`."""
-    fh.write(",".join(f.name for f in fields(MetricsRecord)) + "\n")
+    names = [f.name for f in fields(MetricsRecord)]
+    fh.write(",".join(names) + "\n")
     for rec in records:
-        fh.write(rec.to_csv_row() + "\n")
+        row = (getattr(rec, name) for name in names)
+        fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _open_output(key: str, path):
@@ -262,7 +258,6 @@ class LinkSimulation:
             raise SpecError(
                 f"invalid {keys}: one interval of {word.describe()} words "
                 f"asks for {bits:.3g} bits, more than {MAX_INTERVAL_BITS:.3g}")
-        self._pending: LinkConfig | None = None
         self._codecs: dict = {}
         # Flipped rows of the open segment awaiting one decode, their mask
         # bits, and the dwell counts and config they belong to.
@@ -333,6 +328,7 @@ class LinkSimulation:
         n_intervals = int(round(spec.duration_s / dt))
         records: list[MetricsRecord] = []
         phase_idx = -1
+        pending: LinkConfig | None = None  # emitted, active from the next interval
         # The open dwell's phase and its running outcome counts.
         dwell: tuple[TracePhase, Outcomes] | None = None
         # Both outputs open before the first interval, so a bad path fails
@@ -342,14 +338,15 @@ class LinkSimulation:
 
             def log(now: float, event: str, detail: str) -> None:
                 if events is not None:
-                    events.write(f"{now:g},{event},{detail}\n")
+                    # The fewest %g digits, 6 or more, that read back as `now`.
+                    digits = next(d for d in range(6, 18) if float(f"{now:.{d}g}") == now)
+                    events.write(f"{now:.{digits}g},{event},{detail}\n")
 
             for i in range(n_intervals):
                 now = i * dt
-                if self._pending is not None:
+                if pending is not None:
                     self._flush()
-                    self.active_config = self._pending
-                    self._pending = None
+                    self.active_config, pending = pending, None
                     log(now, "set_demodulation", self.active_config.modulation.label)
                     log(now, "set_decoding", self.active_config.label())
                 new_idx = self.trace.phase_index_at(now, max(phase_idx, 0))
@@ -373,7 +370,7 @@ class LinkSimulation:
                 self.interval_log.append((now, self.active_config.describe(),
                                           action.kind))
                 if action.kind == "config":
-                    self._pending = action.config
+                    pending = action.config
                     log(now, "config",
                         f"{action.config.describe()};ber_m={ber_m!r}")
                 else:
@@ -420,13 +417,24 @@ def binomial_tail_above(n: int, p: float, t: int) -> float:
         return 0.0
     if p >= 1.0:
         return 1.0
+    log_q = math.log1p(-p)
+
+    def pmf(i: int, q_power: float) -> float:
+        """C(n, i) p^i q_power, q_power being (1 - p)^(n - i); through logs
+        where C(n, i) overflows a float or p^i or q_power is not normal."""
+        comb, p_power = math.comb(n, i), p ** i
+        if comb <= sys.float_info.max and min(p_power, q_power) >= sys.float_info.min:
+            return comb * p_power * q_power
+        return math.exp(math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                        + i * math.log(p) + (n - i) * log_q)
+
     acc = 0.0
     for i in range(t + 1):
-        acc += math.comb(n, i) * (p ** i) * ((1.0 - p) ** (n - i))
+        acc += pmf(i, (1.0 - p) ** (n - i))
     if 1.0 - acc >= 0.01:
         return 1.0 - acc
     tail = 0.0
-    term = math.comb(n, t + 1) * p ** (t + 1) * math.exp((n - t - 1) * math.log1p(-p))
+    term = pmf(t + 1, math.exp((n - t - 1) * log_q))
     for i in range(t + 1, n + 1):
         if tail + term == tail:
             break
@@ -461,8 +469,7 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     within_failures = 0
     exceed = 0
     failures = 0
-    done = 0
-    while done < generations:
+    for done in range(0, generations, batch_size):
         batch = min(batch_size, generations - done)
         # transmit's XOR with a broadcast zero writes into the flip mask if p_e > 0.
         received = codec.units(transmit(np.broadcast_to(np.uint8(0), (batch, n_bits)),
@@ -473,7 +480,6 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
         within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
         exceed += int(np.count_nonzero(injected > t_budget))
         failures += int(np.count_nonzero(wrong))
-        done += batch
 
     return ResidualStats(
         generations=generations,

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -278,3 +281,26 @@ def test_optimize_throughput_never_exceeds_peak_rate(table_csv, capsys):
     th = float(selected.split("TH=")[1].split()[0])
     assert th <= 28.16
     assert th >= 0.98 * 28.16
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m thzlink` runs the same program as `main`: its exit codes,
+    # and byte for byte the outputs of a run.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "thzlink", *map(str, args)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    table = tmp_path / "table.csv"
+    done = module("gen-table", "--out", table)
+    assert done.returncode == 0 and "160 rows" in done.stdout
+    done = module("optimize", "--table", table, "--distance", 5)
+    assert done.returncode == 0 and "selected: " in done.stdout
+    done = module("run", "--table", table, "--duration", 30, "--out", tmp_path / "sub")
+    assert done.returncode == 0, done.stderr
+    assert run_cli("run", "--table", table, "--duration", 30, "--out", tmp_path / "in") == 0
+    for name in ("metrics.csv", "events.log"):
+        assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
+    done = module("run", "--table", table, "--duration", -5)
+    assert done.returncode == 2 and done.stderr.startswith("error: invalid duration_s")

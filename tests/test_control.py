@@ -9,9 +9,9 @@ from helpers import brute_force_candidates, brute_force_selection
 from thzlink.control import (DEFAULT_EPSILON, AdaptiveController, BerMessage,
                              LinkConfig, OptimizerParams, SCHEME_MDPC,
                              SCHEME_RS, candidates, complexity_units,
-                             estimate_distance, fallback_config,
-                             initial_link_config, optimize_for_distance,
-                             rs_code_for_symbol_size, select_config)
+                             estimate_distance, initial_link_config,
+                             optimize_for_distance, rs_code_for_symbol_size,
+                             select_config)
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable,
                            Modulation, symbol_error_prob)
 
@@ -174,7 +174,7 @@ def test_optimize_for_distance_matches_full_enumeration(case):
                 cand.n) == want_cands[scheme, mod], (scheme, mod)
     want = brute_force_selection(table, distance, rates, params)
     if want is None:
-        assert chosen == fallback_config(rates)
+        assert chosen == select_config([], rates)
     else:
         assert (chosen.scheme, chosen.modulation, chosen.k_bits,
                 chosen.r_bits) == want
@@ -328,9 +328,10 @@ def test_select_tie_breaks():
 
 def test_select_fallback_when_nothing_feasible():
     cfg = select_config([None] * len(MODULATIONS), DEFAULT_DATA_RATES_GBPS)
-    assert cfg == fallback_config(DEFAULT_DATA_RATES_GBPS)
+    assert cfg == select_config([], DEFAULT_DATA_RATES_GBPS)
     assert cfg.scheme == SCHEME_MDPC and cfg.modulation is Modulation.BPSK
     assert (cfg.m, cfg.n, cfg.k_bits, cfg.r_bits) == (2, 2, 4, 5)
+    assert cfg.data_rate_gbps == DEFAULT_DATA_RATES_GBPS[Modulation.BPSK]
 
 
 def test_optimize_for_distance_zero_table():
@@ -351,7 +352,7 @@ def test_link_config_derived_values():
     assert cfg.code_rate == pytest.approx(224 / 240)
     assert cfg.overhead == pytest.approx(1 - 224 / 240)
     assert cfg.throughput_gbps == pytest.approx(28.16 * 224 / 240)
-    mdpc = fallback_config(DEFAULT_DATA_RATES_GBPS)
+    mdpc = select_config([], DEFAULT_DATA_RATES_GBPS)
     assert mdpc.label() == "MDPC(4)"
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from reference_codecs import (MdpcBlock, ScalarRsCodec, _fdm, codeword_outcomes,
                               codeword_residual_stats, mdpc_decode)
 from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig
-from thzlink.mdpc import MdpcCodec, parity_bits_for
+from thzlink.mdpc import MdpcCodec
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, Modulation
 from thzlink.rs import ReedSolomonCodec
 from thzlink.sim import _carry, residual_error_experiment
@@ -233,7 +233,7 @@ def experiment_cases(draw):
     else:
         n, m = draw(st.integers(2, 3)), draw(st.integers(2, 5))
         config = LinkConfig(SCHEME_MDPC, Modulation.BPSK, m ** n,
-                            parity_bits_for(m, n), rate, m=m, n=n)
+                            MdpcCodec(m, n).r_bits, rate, m=m, n=n)
         n_units, t = (m + 1) ** n, 2 ** (n - 1) - 1
     p_e = min(0.5, 3 * t / n_units) * draw(st.integers(0, 16)) / 16
     generations = draw(st.integers(2, 60))

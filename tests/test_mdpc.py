@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reference_codecs import MdpcBlock, mdpc_decode, mdpc_encode
-from thzlink.mdpc import MdpcCodec, correctable_bits_for, parity_bits_for
+from thzlink.mdpc import MdpcCodec
 from thzlink.rs import ReedSolomonCodec
 
 
@@ -42,11 +42,11 @@ def test_all_zero_data_gives_zero_parity():
 
 
 def test_parity_count_formula():
-    assert parity_bits_for(2, 2) == 5
-    assert parity_bits_for(3, 2) == 7
-    assert parity_bits_for(2, 3) == 19
-    assert correctable_bits_for(2) == 1
-    assert correctable_bits_for(3) == 3
+    assert MdpcCodec(2, 2).r_bits == 5
+    assert MdpcCodec(3, 2).r_bits == 7
+    assert MdpcCodec(2, 3).r_bits == 19
+    assert MdpcCodec(2, 2).t == 1
+    assert MdpcCodec(2, 3).t == 3
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (5, 2), (16, 2), (2, 3), (3, 3), (2, 4)])

@@ -289,19 +289,59 @@ def test_decode_batch_matches_scalar_t2(rng):
         assert np.array_equal(res.data, symbols_to_bits(out[i, :9], 4))
 
 
-@pytest.mark.parametrize("s,r,k_bits", [(8, 2, 224), (4, 4, 36), (12, 6, 1200)])
-def test_symbols_stay_in_the_element_type(s, r, k_bits, rng):
+def edge_block(kind, tx, scalar, rng):
+    """A received block with no rows, with only clean rows, or whose rows are
+    all dirty and all rejected before re-verification: each row's locator
+    has a degree above t, fewer roots than its degree, or a root among the
+    zero-pad positions. (A locator of degree 0 from nonzero syndromes passes
+    these checks and fails only at re-verification.)"""
+    if kind == "empty":
+        return tx[:0]
+    if kind == "clean":
+        return tx
+    rx = tx ^ rng.integers(0, 1 << scalar.s, tx.shape, dtype=np.uint16)
+    rejected = []
+    for row in rx:
+        lam = scalar._berlekamp_massey(scalar.syndromes(row))
+        positions = scalar._chien_search(lam)
+        rejected.append(len(lam) - 1 > scalar.t or len(positions) != len(lam) - 1
+                        or any(p >= len(row) for p in positions))
+    assert sum(rejected) >= 50
+    return rx[rejected]
+
+
+@pytest.mark.parametrize("s,r,k_bits,block", [
+    pytest.param(8, 2, 224, "noisy", id="8-2-224"),
+    pytest.param(4, 4, 36, "noisy", id="4-4-36"),
+    pytest.param(12, 6, 1200, "noisy", id="12-6-1200"),
+    *(pytest.param(s, r, k_bits, block, id=f"{block}-{s}-{r}-{k_bits}")
+      for block in ("empty", "clean", "failing") for s, r, k_bits in [(8, 2, 224), (4, 4, 36)]),
+])
+def test_symbols_stay_in_the_element_type(s, r, k_bits, block, rng):
     # Packed symbols are uint16, the field's element type, from encoding
     # through decoding, on the closed-form (r == 2) and staged paths; an
     # int64 copy of the same received block decodes to the same outcome.
+    # The edge blocks take the same path as any other, and every row decodes
+    # as the scalar decoder decodes it.
     codec = ReedSolomonCodec(s, r)
     tx = codec.encode_batch(rng.integers(0, 2, (300, k_bits), dtype=np.uint8))
     noise = rng.integers(0, 1 << s, tx.shape, dtype=np.uint16)
     rx = tx ^ noise * (rng.random(tx.shape) < 0.05)
+    scalar = ScalarRsCodec(s, r)
+    if block != "noisy":
+        rx = edge_block(block, tx, scalar, rng)
     out, corrected, ok = codec.decode_symbols_batch(rx)
     assert tx.dtype == rx.dtype == out.dtype == np.uint16
     assert codec.syndromes_batch(rx).dtype == np.uint16
-    assert ok.any() and not ok.all() and corrected.any()
+    if block == "noisy":
+        assert ok.any() and not ok.all() and corrected.any()
+    else:
+        assert out.shape == rx.shape and corrected.dtype == np.int64 and ok.dtype == bool
+        for i, row in enumerate(rx):
+            word, n_errors, row_ok = scalar.correct(row)
+            assert np.array_equal(out[i], word)
+            assert (corrected[i], ok[i]) == (n_errors, row_ok)
+        assert np.array_equal(ok, np.full(len(rx), block != "failing"))
     out64, corrected64, ok64 = codec.decode_symbols_batch(rx.astype(np.int64))
     assert np.array_equal(out64, out)
     assert np.array_equal(corrected64, corrected) and np.array_equal(ok64, ok)

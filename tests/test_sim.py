@@ -453,6 +453,20 @@ def test_event_log_format(default_table, table_csv, tmp_path):
         assert "set_demodulation" in events and "set_decoding" in events
 
 
+@pytest.mark.parametrize("dt,stamps", [
+    (100000.5, ["0", "100000.5", "200001"]),
+    (1234567.0, ["0", "1234567", "2469134"])])
+def test_event_log_times_read_back_exactly(default_table, table_csv, tmp_path, dt, stamps):
+    # Six significant digits wrote 100000.5 s as 100000 and 1234567 s as
+    # 1.23457e+06; a time takes the fewest digits, six or more, that read back.
+    e = tmp_path / "events.log"
+    spec = spec_for(table_csv, update_interval_s=dt, duration_s=3 * dt + 1,
+                    metrics_path=str(tmp_path / "m.csv"), events_path=str(e))
+    run_simulation(spec, default_table)
+    times = [line.split(",", 1)[0] for line in e.read_text().splitlines()]
+    assert sorted(set(times), key=float) == stamps
+
+
 def test_mdpc_configuration_runs_in_the_loop(default_table, table_csv):
     # Around 18 m the QPSK error probability makes every RS symbol size
     # infeasible while the smallest parity cube still fits the budget, so
@@ -607,6 +621,27 @@ def test_binomial_tail_matches_exact_sum(n, p, t):
     q = Fraction(p)
     lower = sum(math.comb(n, i) * q ** i * (1 - q) ** (n - i) for i in range(t + 1))
     assert binomial_tail_above(n, p, t) == pytest.approx(float(1 - lower), rel=1e-12, abs=0)
+
+
+def exact_tail_above(n, p, t):
+    """P[X > t] in integers: with p = a / b, b^n P[X <= t] is the sum of
+    C(n, i) a^i (b - a)^(n - i), taken by Horner in b - a."""
+    a, b = p.as_integer_ratio()
+    head, comb, a_power = 0, 1, 1
+    for i in range(t + 1):
+        head = head * (b - a) + comb * a_power
+        comb, a_power = comb * (n - i) // (i + 1), a_power * a
+    return (b ** n - head * (b - a) ** (n - t)) / b ** n
+
+
+@pytest.mark.parametrize("n,p,t", [
+    (4095, 0.01, 200), (4095, 0.3, 1500), (65535, 0.001, 200),
+    (1477, 0.01, 236), (1342, 0.4, 576), (1851, 0.7, 1334)])
+def test_binomial_tail_past_the_float_range(n, p, t):
+    # The first three raised OverflowError: C(n, i) exceeds a float. In the
+    # fourth C(n, 237) fits but 0.01^237 is 0, so its tail of 3.8e-199 read 0.
+    assert binomial_tail_above(n, p, t) == pytest.approx(exact_tail_above(n, p, t),
+                                                         rel=1e-9, abs=0)
 
 
 def test_residual_experiment_small(default_table):
