@@ -638,8 +638,8 @@ def exact_tail_above(n, p, t):
     (4095, 0.01, 200), (4095, 0.3, 1500), (65535, 0.001, 200),
     (1477, 0.01, 236), (1342, 0.4, 576), (1851, 0.7, 1334)])
 def test_binomial_tail_past_the_float_range(n, p, t):
-    # The first three raised OverflowError: C(n, i) exceeds a float. In the
-    # fourth C(n, 237) fits but 0.01^237 is 0, so its tail of 3.8e-199 read 0.
+    # All but (1477, 0.01, 236) raised OverflowError: C(n, i) exceeds a float.
+    # There C(1477, 237) fits but 0.01^237 is 0, so the tail of 3.8e-199 read 0.
     assert binomial_tail_above(n, p, t) == pytest.approx(exact_tail_above(n, p, t),
                                                          rel=1e-9, abs=0)
 
