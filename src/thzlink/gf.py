@@ -63,8 +63,19 @@ class GF:
         return f"GF(2^{self.s})"
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two arrays of field elements."""
+        """Elementwise product of two arrays of field elements, as uint16.
+
+        Operands of any integer dtype give the same values; intp operands
+        take numpy's fast gather, so callers convert them where a stage starts.
+        """
         return self.exp[self.log[a] + self.log[b]]
+
+    def div_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise quotient a / b of field elements, b nonzero, as uint16.
+
+        The log sum stays below the sentinel for a nonzero and past it for a zero.
+        """
+        return self.exp[self.log[a] + (self.order - 1 - self.log[b])]
 
     def dot_logs(self, a: np.ndarray, log_mat: np.ndarray) -> np.ndarray:
         """Product a @ M.T of a (B, n) element block and M given as (m, n) logs.
@@ -81,13 +92,14 @@ class GF:
             flat = np.flatnonzero(part != 0)
             if flat.size == 0:
                 continue
-            rows, cols = np.divmod(flat, n)
+            rows = flat // n
+            cols = flat - rows * n
             logs = self.log[part[flat].astype(np.intp)]
             # Each row's run of nonzeros starts where its row index changes.
-            starts = np.flatnonzero(np.diff(rows, prepend=-1) != 0)
+            starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
             hit = rows[starts] + r0
             for j, row in enumerate(log_mat):
-                out[hit, j] = np.bitwise_xor.reduceat(self.exp[logs + row[cols]], starts)
+                out[:, j][hit] = np.bitwise_xor.reduceat(self.exp[logs + row[cols]], starts)
         return out
 
     def inv_matrix(self, mat: np.ndarray) -> np.ndarray:
@@ -103,8 +115,7 @@ class GF:
                 raise ValueError("matrix is singular over GF(2^s)")
             pivot = col + nonzero[0]
             aug[[col, pivot]] = aug[[pivot, col]]
-            # Scale the pivot row by the pivot's inverse, a^-1 = exp[order - 1 - log a].
-            aug[col] = self.mul_vec(aug[col], self.exp[self.order - 1 - self.log[aug[col, col]]])
+            aug[col] = self.div_vec(aug[col], aug[col, col])
             factors = aug[:, col].copy()
             factors[col] = 0
             aug ^= self.mul_vec(factors[:, None], aug[col][None, :])

@@ -15,6 +15,7 @@ correction and re-verification. Single-error-correcting codes (r == 2) skip
 the staged pipeline for a closed form.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -172,14 +173,16 @@ class ReedSolomonCodec:
         staged pipeline over them. A row that fails keeps its received
         symbols, except after a failed re-verification, where it keeps the
         rejected correction. The block keeps the dtype given, uint16 when
-        packed; only logs, indices and counts are int64.
+        packed. Each stage converts its operands to intp where it starts, so
+        every table gather takes numpy's fast path, and dirty rows are found
+        by ORing the r syndrome columns, not by a reduction along each row.
         """
-        out = np.array(symbols)
+        out = np.array(symbols, order="C")
         batch = out.shape[0]
         syn = self.syndromes_batch(out)
         corrected = np.zeros(batch, dtype=np.int64)
         ok = np.ones(batch, dtype=bool)
-        idx = np.flatnonzero(np.any(syn != 0, axis=1))
+        idx = np.flatnonzero(_or_columns(syn))
         if self.r_symbols == 2:
             self._decode_single_error_rows(out, syn, idx, corrected, ok)
         else:
@@ -190,79 +193,86 @@ class ReedSolomonCodec:
                      corrected: np.ndarray, ok: np.ndarray) -> None:
         """Berlekamp-Massey, Chien, Forney and re-verification of rows `idx`.
 
-        A row fails when its locator degree exceeds t, when the locator has
-        fewer roots among the L sent positions than its degree (a root in
+        A row fails when its locator degree is 0 (nonzero syndromes that no
+        error pattern of weight <= t explains) or exceeds t, when the locator
+        has fewer roots among the L sent positions than its degree (a root in
         the zero-pad region counts as missing), when an error value comes
         out zero, or when the corrected word still has nonzero syndromes.
+        Each stage gathers from the tables with intp operands.
         """
         gf = self.gf
         qm1 = gf.order - 1
         t = self.t
         length = out.shape[-1]
         ok[idx] = False
-        syn = syn[idx]
+        syn = syn[idx].astype(np.intp)
         lam = self._berlekamp_massey(syn)
-        degree = np.max(np.where(lam != 0, np.arange(lam.shape[1]), 0), axis=1)
-        fits = degree <= t
+        degree = np.zeros(idx.size, dtype=np.int64)
+        for k in range(1, lam.shape[1]):
+            degree[lam[:, k] != 0] = k
+        fits = (degree > 0) & (degree <= t)
         idx, syn, lam, degree = idx[fits], syn[fits], lam[fits, : t + 1], degree[fits]
 
-        # Chien search: lam(alpha^-p) by Horner at every sent x-power p.
-        x_inv = gf.exp[-np.arange(length) % qm1]
-        acc = np.broadcast_to(lam[:, t:], (lam.shape[0], length))
-        for k in range(t - 1, -1, -1):
-            acc = gf.mul_vec(acc, x_inv) ^ lam[:, k:k + 1]
-        roots = acc == 0
-        found = np.count_nonzero(roots, axis=1) == degree
-        idx, syn, lam, degree, roots = (idx[found], syn[found], lam[found],
-                                        degree[found], roots[found])
+        # Chien search: lam(alpha^-p) at every sent x-power p, one term
+        # lam_k alpha^(-kp) at a time, from the logs of lam_k and alpha^-p.
+        powers = -np.arange(length) % qm1
+        lam_logs = gf.log[lam]
+        acc = np.ones((lam.shape[0], length), dtype=gf.exp.dtype)
+        for k in range(1, t + 1):
+            acc ^= gf.exp[lam_logs[:, k:k + 1] + k * powers % qm1]
+        roots = np.flatnonzero(acc == 0)
+        row = roots // length
+        pos = roots - row * length
+        bad = np.bincount(row, minlength=idx.size) != degree
 
         # Forney: e = omega(X^-1) / lam'(X^-1), omega = S(x) lam(x) mod x^r.
         r = self.r_symbols
-        omega = np.zeros((lam.shape[0], r), dtype=gf.exp.dtype)
+        omega = np.zeros((lam.shape[0], r), dtype=np.intp)
         for k in range(t + 1):
             omega[:, k:] ^= gf.mul_vec(syn[:, : r - k], lam[:, k:k + 1])
         deriv = np.where(np.arange(1, t + 1) % 2 == 1, lam[:, 1:], 0)
-        row, pos = np.nonzero(roots)
-        num = self._eval_rows(omega[row], x_inv[pos])
-        den = self._eval_rows(deriv[row], x_inv[pos])
-        value = gf.mul_vec(num, gf.exp[qm1 - gf.log[den]])
+        x_inv = gf.exp[powers[pos]].astype(np.intp)
+        num = self._eval_rows(omega[row], x_inv)
+        den = self._eval_rows(deriv[row], x_inv)
+        value = gf.div_vec(num, den)
         value[den == 0] = 0
-        bad = np.zeros(idx.size, dtype=bool)
         bad[row[value == 0]] = True
         keep = ~bad[row]
-        out[idx[row[keep]], length - 1 - pos[keep]] ^= value[keep]
+        # out is a C-ordered copy, so its flat view takes the corrections.
+        out.reshape(-1)[idx[row[keep]] * length + length - 1 - pos[keep]] ^= value[keep]
         idx, degree = idx[~bad], degree[~bad]
-        clean = ~np.any(self.syndromes_batch(out[idx]) != 0, axis=1)
+        clean = _or_columns(self.syndromes_batch(out[idx])) == 0
         corrected[idx[clean]] = degree[clean]
         ok[idx[clean]] = True
 
     def _eval_rows(self, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Row i of ascending `coeffs` evaluated at x[i], by Horner."""
-        acc = np.zeros(x.shape, dtype=self.gf.exp.dtype)
+        """Row i of ascending intp `coeffs` evaluated at intp x[i], by Horner."""
+        acc = np.zeros(x.shape, dtype=np.intp)
         for k in range(coeffs.shape[1] - 1, -1, -1):
             acc = self.gf.mul_vec(acc, x) ^ coeffs[:, k]
         return acc
 
     def _berlekamp_massey(self, syn: np.ndarray) -> np.ndarray:
-        """Error-locator polynomial of each row of syndromes, run in lockstep.
+        """Error-locator polynomial of each row of intp syndromes, in lockstep.
 
-        Returns ascending coefficients, (rows, r + 1), with lam[:, 0] == 1.
+        Returns ascending intp coefficients, (rows, r + 1), with lam[:, 0] == 1.
         `shifted` carries x^m B(x): the locator saved at the last length
-        change, times x once per step since.
+        change, times x once per step since. The discrepancy is summed one
+        coefficient column at a time.
         """
         gf = self.gf
-        qm1 = gf.order - 1
         rows, r = syn.shape
-        lam = np.zeros((rows, r + 1), dtype=gf.exp.dtype)
+        lam = np.zeros((rows, r + 1), dtype=np.intp)
         lam[:, 0] = 1
         shifted = np.zeros_like(lam)
         shifted[:, 1] = 1
         reg_len = np.zeros(rows, dtype=np.int64)
-        b = np.ones(rows, dtype=gf.exp.dtype)
+        b = np.ones(rows, dtype=np.intp)
         for n in range(r):
-            d = np.bitwise_xor.reduce(gf.mul_vec(lam[:, : n + 1], syn[:, n::-1]),
-                                      axis=1)
-            coef = gf.mul_vec(d, gf.exp[qm1 - gf.log[b]])
+            d = syn[:, n].copy()
+            for k in range(1, n + 1):
+                d ^= gf.mul_vec(lam[:, k], syn[:, n - k])
+            coef = gf.div_vec(d, b).astype(np.intp)
             grow = (d != 0) & (2 * reg_len <= n)
             saved = np.where(grow[:, None], lam, shifted)
             lam = lam ^ gf.mul_vec(coef[:, None], shifted)
@@ -279,13 +289,20 @@ class ReedSolomonCodec:
         gf = self.gf
         qm1 = gf.order - 1
         length = out.shape[-1]
-        s1 = syn[idx, 0]
-        s2 = syn[idx, 1]
-        pos = (gf.log[s2] - gf.log[s1]) % qm1
+        s1 = syn[:, 0][idx].astype(np.intp)
+        s2 = syn[:, 1][idx].astype(np.intp)
+        log1, log2 = gf.log[s1], gf.log[s2]
+        pos = (log2 - log1) % qm1
         in_range = (s1 != 0) & (s2 != 0) & (pos < length)
-        value = gf.exp[(2 * gf.log[s1] - gf.log[s2]) % qm1]
+        value = gf.exp[(2 * log1 - log2) % qm1]
         good = idx[in_range]
-        out[good, length - 1 - pos[in_range]] ^= value[in_range]
+        # out is a C-ordered copy, so its flat view takes the corrections.
+        out.reshape(-1)[good * length + length - 1 - pos[in_range]] ^= value[in_range]
         corrected[good] = 1
         ok[idx[~in_range]] = False
 
+
+def _or_columns(block: np.ndarray) -> np.ndarray:
+    """OR of a (B, m) block's columns, nonzero on its nonzero rows: m vector
+    ORs, where a reduction along rows of m elements pays numpy's per-row cost."""
+    return functools.reduce(np.bitwise_or, block.T)

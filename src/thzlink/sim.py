@@ -475,8 +475,11 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
         received = codec.units(transmit(np.broadcast_to(np.uint8(0), (batch, n_bits)),
                                         p_e, rng_channel))
         decoded, _, _ = codec.decode_units(received)
-        injected = np.count_nonzero(received, axis=1)
-        wrong = decoded.any(axis=1)
+        # Exact counts through an int32 accumulator: a row of 2^31 units
+        # would take 2 GB on its own.
+        injected = np.einsum("ij->i", received != 0, dtype=np.int32)
+        # An OR in the units' own dtype: `any` casts every unit to bool first.
+        wrong = np.bitwise_or.reduce(decoded, axis=1) != 0
         within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
         exceed += int(np.count_nonzero(injected > t_budget))
         failures += int(np.count_nonzero(wrong))

@@ -104,6 +104,17 @@ def test_mul_vec_matches_scalar(rng):
         assert out[i] == gf_mul(gf, int(a[i]), int(b[i]))
 
 
+@pytest.mark.parametrize("s", [2, 3, 4, 8])
+def test_div_vec_matches_scalar_exhaustive(s):
+    # Every dividend, zero included, over every nonzero divisor.
+    gf = get_field(s)
+    a, b = np.meshgrid(np.arange(gf.order), np.arange(1, gf.order), indexing="ij")
+    out = gf.div_vec(a, b)
+    assert out.dtype == np.uint16
+    assert out.tolist() == [[gf_div(gf, x, y) for y in range(1, gf.order)]
+                            for x in range(gf.order)]
+
+
 @pytest.mark.parametrize("s", [2, 3, 8, 12])
 def test_dot_logs_matches_scalar_sums(s, rng):
     gf = get_field(s)

@@ -292,9 +292,8 @@ def test_decode_batch_matches_scalar_t2(rng):
 def edge_block(kind, tx, scalar, rng):
     """A received block with no rows, with only clean rows, or whose rows are
     all dirty and all rejected before re-verification: each row's locator
-    has a degree above t, fewer roots than its degree, or a root among the
-    zero-pad positions. (A locator of degree 0 from nonzero syndromes passes
-    these checks and fails only at re-verification.)"""
+    has a degree of 0 or above t, fewer roots than its degree, or a root
+    among the zero-pad positions."""
     if kind == "empty":
         return tx[:0]
     if kind == "clean":
@@ -304,7 +303,7 @@ def edge_block(kind, tx, scalar, rng):
     for row in rx:
         lam = scalar._berlekamp_massey(scalar.syndromes(row))
         positions = scalar._chien_search(lam)
-        rejected.append(len(lam) - 1 > scalar.t or len(positions) != len(lam) - 1
+        rejected.append(not 1 <= len(lam) - 1 <= scalar.t or len(positions) != len(lam) - 1
                         or any(p >= len(row) for p in positions))
     assert sum(rejected) >= 50
     return rx[rejected]
@@ -345,6 +344,71 @@ def test_symbols_stay_in_the_element_type(s, r, k_bits, block, rng):
     out64, corrected64, ok64 = codec.decode_symbols_batch(rx.astype(np.int64))
     assert np.array_equal(out64, out)
     assert np.array_equal(corrected64, corrected) and np.array_equal(ok64, ok)
+
+
+def test_degree_zero_locator_fails_before_reverification():
+    # At (s, r) = (4, 4) the syndromes (0, 7, 0, 0) are nonzero, but their
+    # Berlekamp-Massey locator is lam = 1, of degree 0, so no correction
+    # explains them. The row fails as the scalar decoder fails it, at the
+    # degree check: re-verification sees only the row with one error.
+    codec = ReedSolomonCodec(4, 4)
+    scalar = ScalarRsCodec(4, 4)
+    block = np.zeros((3, 15), dtype=np.uint16)
+    # Parity symbols H_p^-1 S, and no data, make a word whose syndromes are S.
+    block[0, 11:] = codec.gf.dot_logs(np.array([[0, 7, 0, 0]], dtype=np.uint16),
+                                      codec._parity_inv_logs)[0]
+    block[1, 4] = 9
+    assert scalar.syndromes(block[0]) == [0, 7, 0, 0]
+    assert scalar._berlekamp_massey([0, 7, 0, 0]) == [1]
+    checked = []
+    syndromes_batch = ReedSolomonCodec.syndromes_batch
+
+    def record(self, symbols):
+        checked.append(symbols.copy())
+        return syndromes_batch(self, symbols)
+
+    with mock.patch.object(ReedSolomonCodec, "syndromes_batch", record):
+        out, corrected, ok = codec.decode_symbols_batch(block)
+    for i, row in enumerate(block):
+        word, n_errors, row_ok = scalar.correct(row)
+        assert np.array_equal(out[i], word)
+        assert (corrected[i], ok[i]) == (n_errors, row_ok)
+    assert ok.tolist() == [False, True, True]
+    assert len(checked) == 2
+    assert np.array_equal(checked[1], np.zeros((1, 15), dtype=np.uint16))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(s=st.integers(2, 12), t=st.integers(1, 3), batch=st.integers(0, 30),
+       density=st.sampled_from([0.0, 0.05, 0.2, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_uint16_and_intp_operands_give_the_same_values(s, t, batch, density, seed):
+    # Table gathers index with intp on numpy's fast path and with uint16
+    # through a casting path; both give the same values, and every output
+    # has the dtype its docstring states: uint16 elements, and a decoded
+    # block in the dtype it came in.
+    rng = np.random.default_rng(seed)
+    codec = ReedSolomonCodec(s, min(2 * t, 2 ** s - 2))
+    gf, r = codec.gf, codec.r_symbols
+    length = int(rng.integers(r + 1, min(gf.order - 1, 40) + 1))
+    sent = codec.encode_batch(rng.integers(0, 2, (batch, s * (length - r)), dtype=np.uint8))
+    errors = rng.integers(1, gf.order, sent.shape) * (rng.random(sent.shape) < density)
+    block = sent ^ errors.astype(np.uint16)
+    other = rng.integers(0, gf.order, block.shape, dtype=np.uint16)
+    nonzero = rng.integers(1, gf.order, block.shape, dtype=np.uint16)
+    log_mat = gf.log[rng.integers(0, gf.order, (3, length))]
+    wide = block.astype(np.intp)
+    for narrow_out, wide_out in [
+            (gf.mul_vec(block, other), gf.mul_vec(wide, other.astype(np.intp))),
+            (gf.div_vec(block, nonzero), gf.div_vec(wide, nonzero.astype(np.intp))),
+            (gf.dot_logs(block, log_mat), gf.dot_logs(wide, log_mat))]:
+        assert narrow_out.dtype == wide_out.dtype == np.uint16
+        assert np.array_equal(narrow_out, wide_out)
+    narrow_decoded = codec.decode_symbols_batch(block)
+    wide_decoded = codec.decode_symbols_batch(wide)
+    assert narrow_decoded[0].dtype == np.uint16 and wide_decoded[0].dtype == np.intp
+    for got, want in zip(narrow_decoded, wide_decoded):
+        assert np.array_equal(got, want)
+    assert narrow_decoded[1].dtype == np.int64 and narrow_decoded[2].dtype == bool
 
 
 def test_codeword_from_bits_roundtrip(rng):

@@ -660,6 +660,19 @@ def test_residual_experiment_small(default_table):
                - stats.theoretical_tail) < 3 * tail_sigma(stats)
 
 
+def test_residual_experiment_counts_every_unit_of_a_long_word():
+    # MDPC(255,2) words hold 256^2 = 65,536 bits. At p_e = 1 every bit
+    # flips: each line then holds 256 ones, every parity checks out, and
+    # the decoder returns the word as it came, all ones. Each row's count of
+    # 65,536 units would wrap to 0 in a 16-bit accumulator, and the row
+    # would read as a failure within the budget.
+    config = LinkConfig(SCHEME_MDPC, Modulation.BPSK, 255 ** 2, 256 ** 2 - 255 ** 2,
+                        DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], m=255, n=2)
+    stats = residual_error_experiment(config, 1.0, generations=3, seed=1, batch_size=2)
+    assert stats.exceed_injected == stats.data_failures == stats.generations == 3
+    assert stats.within_budget_failures == 0
+
+
 @pytest.mark.parametrize("p_e", [float("nan"), -0.01, 1.5])
 def test_residual_experiment_rejects_p_e_outside_unit_interval(p_e):
     # MDPC(3,2) at p_e = nan used to report 0 failures in 100 generations,
