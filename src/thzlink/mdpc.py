@@ -43,6 +43,10 @@ class MdpcCodec:
         self.t = 2 ** (n - 1) - 1  # guaranteed correction capability, in bits
         self.k_bits = m ** n
         self.r_bits = (m + 1) ** n - m ** n
+        # Cell -> its index among the data cells, -1 on a parity cell.
+        inside = (np.indices((m + 1,) * n).reshape(n, -1) < m).all(axis=0)
+        self._data_index = np.full(inside.size, -1, dtype=np.intp)
+        self._data_index[inside] = np.arange(self.k_bits)
 
     def encode_batch(self, data_bits: np.ndarray) -> np.ndarray:
         """Encode (B, m^n) data bits into (B, (m+1)^n) transmitted bits.
@@ -97,7 +101,11 @@ class MdpcCodec:
         if bits.ndim != 2 or bits.shape[1] != width:
             raise ValueError(f"MDPC({m},{n}) decodes (B, {width}) blocks, got shape {bits.shape}")
         batch = bits.shape[0]
-        out = bits.copy()
+        k = self.k_bits
+        # The data cells, copied once: the output. Flips that land on them
+        # are XORed in below; `bits` itself is never written.
+        data = bits.reshape((batch,) + (side,) * n)[(slice(None),) + (slice(0, m),) * n]
+        data = data.copy().reshape(batch, k)
         iters = np.zeros(batch, dtype=np.int64)
         flips = np.zeros(batch, dtype=np.int64)
         ok = np.ones(batch, dtype=bool)
@@ -128,7 +136,8 @@ class MdpcCodec:
             flips[idx] += np.bincount(hit_rows, minlength=idx.size) * steps
             iters[idx] += steps
             odd = steps[hit_rows] % 2 == 1
-            out.reshape(-1)[idx[hit_rows[odd]] * width + hit_cells[odd]] ^= 1
+            cell = self._data_index[hit_cells[odd]]
+            on_data = cell >= 0
+            data.reshape(-1)[idx[hit_rows[odd][on_data]] * k + cell[on_data]] ^= 1
             idx, parities = idx[moved], np.compress(moved, parities ^ toggles, axis=2)
-        data = out.reshape((batch,) + (side,) * n)[(slice(None),) + (slice(0, m),) * n]
-        return data.reshape(batch, m ** n), iters, flips, ok
+        return data, iters, flips, ok

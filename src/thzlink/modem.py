@@ -4,6 +4,7 @@ Modulation only affects two things here: the bit error probability read from
 the table and the raw data rate. No waveform-level processing is modeled.
 """
 
+import bisect
 import enum
 import math
 
@@ -70,21 +71,25 @@ class BerTable:
             if np.any(np.diff(col) < 0):
                 raise ValueError(f"BER for {mod.label} must be non-decreasing in distance")
             self._values[mod] = col
+        # `lookup` bisects Python lists: numpy's per-call costs dominate a
+        # search of a few dozen points.
+        self._grid = self.distances.tolist()
+        self._columns = {mod: col.tolist() for mod, col in self._values.items()}
 
     def column(self, mod: Modulation) -> np.ndarray:
         return self._values[mod]
 
     def lookup(self, distance: float, mod: Modulation) -> float:
         """p_e at the grid distance nearest to the requested one."""
-        d = self.distances
+        d = self._grid
         if not (d[0] <= distance and distance <= d[-1]):  # also rejects NaN
             raise ValueError(
                 f"distance {distance} m outside table range [{d[0]}, {d[-1]}] m")
-        i = int(np.searchsorted(d, distance))
+        i = bisect.bisect_left(d, distance)
         # Ties snap to the larger distance (the more pessimistic channel).
         if i > 0 and (d[i] - distance) > (distance - d[i - 1]):
             i -= 1
-        return float(self._values[mod][i])
+        return self._columns[mod][i]
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -195,10 +200,11 @@ def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
         np.minimum(gaps, cap, out=gaps)
         gaps /= scale
         np.ceil(gaps, out=gaps)
-        np.cumsum(gaps, dtype=np.int64, out=pos)
+        # Methods, not numpy's module-level wrappers: one call less per chunk.
+        gaps.cumsum(dtype=np.int64, out=pos)
         pos += last
         last = int(pos[-1])
-        flat[pos[: np.searchsorted(pos, size)]] = 1
+        flat[pos[: pos.searchsorted(size)]] = 1
     return mask
 
 

@@ -207,16 +207,20 @@ def _carry(codec, k: int, flip_mask: np.ndarray) -> Outcomes:
     """
     batch = flip_mask.shape[0]
     received = codec.units(flip_mask)
-    # The zero word's encode and this XOR change nothing. They stay while
-    # the benchmark's traced self-check `rs.encode_rows > 0` needs an
-    # encode; once it no longer does, both lines go.
-    np.bitwise_xor(received, codec.encode_batch(np.zeros((batch, k), np.uint8)),
+    # The zero word's encode and this XOR change nothing. One word is
+    # encoded per call and broadcast over the rows, only while the
+    # benchmark's traced self-check `rs.encode_rows > 0` needs an encode;
+    # once it no longer does, both lines go.
+    np.bitwise_xor(received, codec.encode_batch(np.zeros((1, k), np.uint8)),
                    out=received)
     decoded, ok, changed = codec.decode_units(received)
     return Outcomes(sent=batch, error_free=int(np.count_nonzero(ok & ~changed)),
                     corrected=int(np.count_nonzero(ok & changed)),
                     failed=int(np.count_nonzero(~ok)),
-                    wrong_bits=int(np.bitwise_count(decoded).sum()), data_bits=batch * k)
+                    # Only nonzero units hold wrong bits, and most decoded
+                    # blocks are nearly all zero.
+                    wrong_bits=int(np.bitwise_count(decoded[decoded != 0]).sum()),
+                    data_bits=batch * k)
 
 
 class LinkSimulation:
@@ -301,8 +305,9 @@ class LinkSimulation:
             # Rebinding frees the whole mask before a flush can decode.
             flip_mask = flip_mask[hit]
         clean = batch - flip_mask.shape[0]
-        outcomes.add(Outcomes(sent=clean, error_free=clean,
-                              data_bits=clean * config.k_bits))
+        outcomes.sent += clean
+        outcomes.error_free += clean
+        outcomes.data_bits += clean * config.k_bits
         if flip_mask.size:
             self._staged_for = (outcomes, config)
             self._staged.append(flip_mask)
@@ -331,6 +336,7 @@ class LinkSimulation:
         pending: LinkConfig | None = None  # emitted, active from the next interval
         # The open dwell's phase and its running outcome counts.
         dwell: tuple[TracePhase, Outcomes] | None = None
+        active_label = self.active_config.describe()  # for interval_log
         # Both outputs open before the first interval, so a bad path fails
         # before anything is simulated.
         with (_open_output("metrics_path", metrics_path) as metrics,
@@ -339,14 +345,18 @@ class LinkSimulation:
             def log(now: float, event: str, detail: str) -> None:
                 if events is not None:
                     # The fewest %g digits, 6 or more, that read back as `now`.
-                    digits = next(d for d in range(6, 18) if float(f"{now:.{d}g}") == now)
-                    events.write(f"{now:.{digits}g},{event},{detail}\n")
+                    text = f"{now:.6g}"
+                    if float(text) != now:
+                        text = next(t for d in range(7, 18)
+                                    if float(t := f"{now:.{d}g}") == now)
+                    events.write(f"{text},{event},{detail}\n")
 
             for i in range(n_intervals):
                 now = i * dt
                 if pending is not None:
                     self._flush()
                     self.active_config, pending = pending, None
+                    active_label = self.active_config.describe()
                     log(now, "set_demodulation", self.active_config.modulation.label)
                     log(now, "set_decoding", self.active_config.label())
                 new_idx = self.trace.phase_index_at(now, max(phase_idx, 0))
@@ -367,8 +377,7 @@ class LinkSimulation:
                 ber_m = self._transmit_interval(distance,
                                                 None if dwell is None else dwell[1])
                 action = self.controller.on_ber_update(BerMessage(ber_m, now))
-                self.interval_log.append((now, self.active_config.describe(),
-                                          action.kind))
+                self.interval_log.append((now, active_label, action.kind))
                 if action.kind == "config":
                     pending = action.config
                     log(now, "config",

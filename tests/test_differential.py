@@ -220,6 +220,36 @@ def test_interval_outcomes_match_codeword_path(case):
 
 
 @st.composite
+def dense_interval_cases(draw):
+    """A codec, its data and coded bits per word, a p_e up to 0.2 and a row
+    count: hundreds of flipped bits per row, so most rows miscorrect or
+    fail and most decoded units are nonzero."""
+    if draw(st.booleans()):
+        s = draw(st.integers(8, 12))
+        r = draw(st.sampled_from([2, 4]))
+        length = draw(st.integers(200, min(2 ** s - 1, 600)))
+        codec, k, n_bits = ReedSolomonCodec(s, r), s * (length - r), s * length
+    else:
+        n = draw(st.sampled_from([2, 3]))
+        codec = MdpcCodec(draw(st.integers(*{2: (20, 30), 3: (8, 10)}[n])), n)
+        k, n_bits = codec.k_bits, codec.k_bits + codec.r_bits
+    p_e = draw(st.sampled_from([0.2, 0.1, 0.05]))
+    return codec, k, n_bits, p_e, draw(st.integers(1, 6)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@SETTINGS
+@given(dense_interval_cases())
+# RS(49116,12) at the p_e of its stale intervals at 5 m.
+@example((ReedSolomonCodec(12, 2), 49116, 49140, 0.186, 3, 7))
+def test_dense_interval_outcomes_match_codeword_path(case):
+    codec, k, n_bits, p_e, rows, seed = case
+    rng = np.random.default_rng(seed)
+    mask = (rng.random((rows, n_bits)) < p_e).astype(np.uint8)
+    expected = codeword_outcomes(codec, k, mask, np.random.default_rng([seed, 1]))
+    assert _carry(codec, k, mask) == expected
+
+
+@st.composite
 def experiment_cases(draw):
     """A configuration, a p_e up to 3t / (units per word), and a generation
     count split into several batches."""

@@ -196,10 +196,22 @@ def test_codec_batch_matches_scalar_3d(rng):
         assert np.array_equal(res.data, dec[i])
 
 
+def test_decode_leaves_its_input_unchanged(rng):
+    # Rows that settle, stall and oscillate flip data and parity cells; the
+    # decoded data is a buffer of its own, and the received block is only read.
+    codec = MdpcCodec(5, 3, max_iterations=4)
+    rx = (rng.random((300, 216)) < 0.03).astype(np.uint8)
+    before = rx.copy()
+    dec, iters, flips, ok = codec.decode_batch(rx)
+    assert np.array_equal(rx, before)
+    assert not np.shares_memory(dec, rx)
+    assert ok.any() and not ok.all() and (flips > 0).any() and (iters == 4).any()
+
+
 def test_decode_allocates_under_3_5_bytes_per_bit(rng):
     # The codec-sweep geometry at its own p_e, on the all-zero word: one
-    # copy of the block, and per round a one-byte marker and its mask over
-    # the rows still live; the cube itself is never reduced again.
+    # copy of the data cells, and per round a one-byte marker and its mask
+    # over the rows still live; the cube itself is never reduced again.
     codec = MdpcCodec(30, 2)
     rx = (rng.random((2000, 961)) < 1 / 961).astype(np.uint8)
     codec.decode_batch(rx)

@@ -1,8 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, FLIP_CHUNK, MODULATIONS,
                            SPARSE_FLIP_THRESHOLD, BerTable, Modulation,
@@ -48,6 +51,54 @@ def test_lookup_rejects_out_of_range():
     # NaN compares false both ways; searchsorted put it past the last row.
     with pytest.raises(ValueError, match="outside table range"):
         table.lookup(float("nan"), Modulation.BPSK)
+
+
+def nearest_index(distances, x):
+    """The grid index `lookup` reads, found with np.searchsorted."""
+    i = int(np.searchsorted(distances, x))
+    if i > 0 and distances[i] - x > x - distances[i - 1]:
+        i -= 1
+    return i
+
+
+@st.composite
+def lookup_grids(draw):
+    """An ascending grid, a seed for its columns, and a draw of inside points."""
+    start = draw(st.floats(-100.0, 100.0))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), max_size=40))
+    distances = np.cumsum([start, *steps])
+    inside = draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    return distances, draw(st.integers(0, 2 ** 32 - 1)), inside
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lookup_grids())
+def test_lookup_matches_searchsorted_reference(case):
+    # QPSK's column holds each row's index, so a value names the row read.
+    distances, seed, inside = case
+    rng = np.random.default_rng(seed)
+    n = distances.size
+    values = {mod: np.sort(rng.uniform(0.0, 0.5, n)) for mod in MODULATIONS}
+    values[Modulation.QPSK] = np.arange(n) / (2 * n)
+    table = BerTable(distances, values)
+    lo, hi = distances[0], distances[-1]
+    queries = [*distances, *(distances[:-1] + distances[1:]) / 2,
+               *(lo + u * (hi - lo) for u in inside)]
+    for x in queries:
+        x = min(max(x, lo), hi)  # rounding may step a point just off the grid
+        i = nearest_index(distances, x)
+        for q in (float(x), np.float64(x)):
+            got = table.lookup(q, Modulation.QPSK)
+            assert type(got) is float and got == i / (2 * n), (q, i)
+            for mod in MODULATIONS:
+                assert table.lookup(q, mod) == values[mod][i]
+    span = hi - lo
+    for x in (lo - 1e-3 - span, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+              hi + 1e-3 + span, -np.inf, np.inf, np.nan):
+        for q in (float(x), np.float64(x)):
+            message = f"distance {q} m outside table range [{lo}, {hi}] m"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                table.lookup(q, Modulation.BPSK)
 
 
 def test_lookup_zero_table_is_zero():
