@@ -13,6 +13,12 @@ import numpy as np
 
 DEFAULT_MAX_ITERATIONS = 10
 
+# `decode_batch` decodes at most this many received bits at a time (or one
+# row). A slice's workspace takes 12-29 B per bit at p_e 0.05-0.5, so it
+# stays within about 60 MB whatever the block; codec-sweep's (2000, 961)
+# MDPC(30,2) batches still decode as one slice.
+DECODE_SLICE_BITS = 2 ** 21
+
 
 def _line_parities(rows: np.ndarray, cells: np.ndarray, n_rows: int,
                    side: int, n: int) -> np.ndarray:
@@ -82,7 +88,7 @@ class MdpcCodec:
         return p_e
 
     def decode_batch(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Decode (B, (m+1)^n) received bits, all rows together.
+        """Decode (B, (m+1)^n) received bits, `DECODE_SLICE_BITS` at a time.
 
         Returns (data bits (B, m^n), iterations, flipped counts, ok flags).
         Each round a cell's marker is the sum of the carried parities of its
@@ -92,23 +98,38 @@ class MdpcCodec:
         cells every round, so it ends at once with the result of the cap. A
         row is ok only when every line checks out; its data is the final
         cube state either way. Rows with no set bit finish at once: when the
-        zero word is sent, only the rows with a flip are decoded.
+        zero word is sent, only the rows with a flip are decoded. A row
+        decodes the same in any slice; each slice writes its rows of the
+        outputs, which are allocated once.
         """
         bits = np.asarray(bits, dtype=np.uint8)
+        m, n = self.m, self.n
+        width = (m + 1) ** n
+        if bits.ndim != 2 or bits.shape[1] != width:
+            raise ValueError(f"MDPC({m},{n}) decodes (B, {width}) blocks, got shape {bits.shape}")
+        batch = bits.shape[0]
+        data = np.empty((batch, self.k_bits), dtype=np.uint8)
+        iters = np.zeros(batch, dtype=np.int64)
+        flips = np.zeros(batch, dtype=np.int64)
+        ok = np.ones(batch, dtype=bool)
+        step = max(1, DECODE_SLICE_BITS // width)
+        for r0 in range(0, batch, step):
+            rows = slice(r0, r0 + step)
+            self._decode_slice(bits[rows], data[rows], iters[rows], flips[rows], ok[rows])
+        return data, iters, flips, ok
+
+    def _decode_slice(self, bits: np.ndarray, data: np.ndarray, iters: np.ndarray,
+                      flips: np.ndarray, ok: np.ndarray) -> None:
+        """Decode a slice of rows into its views of `decode_batch`'s outputs."""
         m, n, cap = self.m, self.n, self.max_iterations
         side = m + 1
         width = side ** n
-        if bits.ndim != 2 or bits.shape[1] != width:
-            raise ValueError(f"MDPC({m},{n}) decodes (B, {width}) blocks, got shape {bits.shape}")
         batch = bits.shape[0]
         k = self.k_bits
         # The data cells, copied once: the output. Flips that land on them
         # are XORed in below; `bits` itself is never written.
-        data = bits.reshape((batch,) + (side,) * n)[(slice(None),) + (slice(0, m),) * n]
-        data = data.copy().reshape(batch, k)
-        iters = np.zeros(batch, dtype=np.int64)
-        flips = np.zeros(batch, dtype=np.int64)
-        ok = np.ones(batch, dtype=bool)
+        inside = (slice(None),) + (slice(0, m),) * n
+        data.reshape((batch,) + (m,) * n)[...] = bits.reshape((batch,) + (side,) * n)[inside]
         rows, cells = np.divmod(np.flatnonzero(bits.view(bool)), width)
         first = np.ones(rows.size, dtype=bool)
         first[1:] = rows[1:] != rows[:-1]
@@ -140,4 +161,3 @@ class MdpcCodec:
             on_data = cell >= 0
             data.reshape(-1)[idx[hit_rows[odd][on_data]] * k + cell[on_data]] ^= 1
             idx, parities = idx[moved], np.compress(moved, parities ^ toggles, axis=2)
-        return data, iters, flips, ok

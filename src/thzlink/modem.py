@@ -200,8 +200,9 @@ def sample_flip_mask(shape, p_e: float, rng: np.random.Generator) -> np.ndarray:
         np.minimum(gaps, cap, out=gaps)
         gaps /= scale
         np.ceil(gaps, out=gaps)
-        # Methods, not numpy's module-level wrappers: one call less per chunk.
-        gaps.cumsum(dtype=np.int64, out=pos)
+        # The ufunc's own accumulate: half the fixed cost of `cumsum` on the
+        # few dozen gaps of a short-word mask.
+        np.add.accumulate(gaps, dtype=np.int64, out=pos)
         pos += last
         last = int(pos[-1])
         flat[pos[: pos.searchsorted(size)]] = 1

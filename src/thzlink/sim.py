@@ -12,13 +12,14 @@ segment; every interval additionally appends a row to the event log.
 No output reports a walk, so a walk interval draws the channel and stops.
 In a dwell interval the generations without a flipped bit are counted clean
 at once, and the flipped ones are staged. Each (dwell, config) segment's
-staged rows are decoded together when the segment ends, or sooner, once
-`STAGE_BITS` of them wait. A row decodes the same in any batch and the
-outcome counts are sums, so no output depends on the staging. Both codes
-are linear and both decoders see a word only through their syndromes or
-parities, so every generation, here and in the residual-error experiment,
-sends the all-zero codeword: a generation without flips arrives clean, and
-a decoded word's data units are its wrong data.
+staged rows are packed, their masks dropped, and decoded together when the
+segment ends, or sooner, once `STAGE_BITS` of them wait. A row decodes the
+same in any batch and the outcome counts are sums, so no output depends on
+the staging. Both codes are linear and both decoders see a word only
+through their syndromes or parities, so every generation, here and in the
+residual-error experiment, sends the all-zero codeword: a generation
+without flips arrives clean, and a decoded word's data units are its wrong
+data.
 Each codec packs its own units and decodes them (`units`, `decode_units`).
 """
 
@@ -198,15 +199,16 @@ def _build_codec(config: LinkConfig, mdpc_max_iterations: int):
     return MdpcCodec(config.m, config.n, max_iterations=mdpc_max_iterations)
 
 
-def _carry(codec, k: int, flip_mask: np.ndarray) -> Outcomes:
-    """Outcomes of a (B, n) block of k-data-bit generations flipped by `flip_mask`.
+def _carry(codec, k: int, received: np.ndarray) -> Outcomes:
+    """Outcomes of a (B, L) block of k-data-bit generations' received units.
 
-    Every generation sends the all-zero codeword, and every row is decoded:
-    a row with no flipped bit decodes clean, and a decoded row's data units
-    are its wrong data. The simulator hands it only flipped rows.
+    Every generation sends the all-zero codeword, so `received` is
+    `codec.units` of the rows' flip masks; it is written in place. Every
+    row is decoded: a row with no flipped bit decodes clean, and a decoded
+    row's data units are its wrong data. The simulator packs only flipped
+    rows, and drops their masks before the call.
     """
-    batch = flip_mask.shape[0]
-    received = codec.units(flip_mask)
+    batch = received.shape[0]
     # The zero word's encode and this XOR change nothing. One word is
     # encoded per call and broadcast over the rows, only while the
     # benchmark's traced self-check `rs.encode_rows > 0` needs an encode;
@@ -312,20 +314,30 @@ class LinkSimulation:
             self._staged_for = (outcomes, config)
             self._staged.append(flip_mask)
             self._staged_bits += flip_mask.size
-            if self._staged_bits >= STAGE_BITS:
-                self._flush()
+        # The stage holds the only reference, so a flush can free the mask.
+        del flip_mask
+        if self._staged_bits >= STAGE_BITS:
+            self._flush()
         return ber_m
 
     def _flush(self) -> None:
-        """Decode the staged rows in one `_carry` call and add their outcomes."""
+        """Decode the staged rows in one `_carry` call and add their outcomes.
+
+        The masks are packed into the codec's units and dropped before the
+        decode, so an RS block decodes beside its symbols, not its mask.
+        MDPC's units are the mask itself.
+        """
         if not self._staged:
             return
         outcomes, config = self._staged_for
+        codec = self._codec_for(config)
         # concatenate would copy a lone block too.
         rows = self._staged[0] if len(self._staged) == 1 else np.concatenate(self._staged)
         self._staged.clear()
         self._staged_bits = 0
-        outcomes.add(_carry(self._codec_for(config), config.k_bits, rows))
+        received = codec.units(rows)
+        del rows
+        outcomes.add(_carry(codec, config.k_bits, received))
 
     def run(self, metrics_path=None, events_path=None) -> list:
         spec = self.spec
@@ -492,6 +504,9 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
         within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
         exceed += int(np.count_nonzero(injected > t_budget))
         failures += int(np.count_nonzero(wrong))
+        width = received.shape[1]
+        # The next batch's flip mask is drawn without this batch's blocks.
+        del received, decoded
 
     return ResidualStats(
         generations=generations,
@@ -500,6 +515,6 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
         exceed_injected=exceed,
         data_failures=failures,
         empirical_exceed_rate=exceed / generations,
-        theoretical_tail=binomial_tail_above(received.shape[1],
+        theoretical_tail=binomial_tail_above(width,
                                              codec.unit_error_prob(p_e), t_budget),
     )

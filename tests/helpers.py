@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 from thzlink.modem import MODULATIONS, BerTable, symbol_error_prob
 
@@ -10,6 +11,16 @@ def tail_sigma(stats) -> float:
     """Binomial standard error of a `ResidualStats`' theoretical exceed rate."""
     p = stats.theoretical_tail
     return math.sqrt(p * (1.0 - p) / stats.generations)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(peak bytes tracemalloc saw while `fn(*args, **kwargs)` ran, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def distance_at(trace, now: float) -> float:

@@ -1,12 +1,12 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_peak
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, FLIP_CHUNK, MODULATIONS,
                            SPARSE_FLIP_THRESHOLD, BerTable, Modulation,
                            sample_flip_mask, symbol_error_prob, transmit)
@@ -214,12 +214,7 @@ def test_zero_flip_mask_is_a_read_only_zero_view(rng):
     with pytest.raises(ValueError, match="read-only"):
         mask[0, 0] = 1
     # The second draw views the block the first one grew.
-    tracemalloc.start()
-    try:
-        again = sample_flip_mask(shape, 0.0, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, again = traced_peak(sample_flip_mask, shape, 0.0, rng)
     assert peak < 1024
     assert again.shape == shape and not again.any()
 
@@ -304,12 +299,7 @@ def test_dense_flip_mask_allocates_about_one_byte_per_bit(rng):
     # or one array of every flip.
     shape = (100, 49140)
     sample_flip_mask(shape, 0.186, rng)
-    tracemalloc.start()
-    try:
-        sample_flip_mask(shape, 0.186, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(sample_flip_mask, shape, 0.186, rng)
     assert peak <= 1.1 * shape[0] * shape[1]
 
 
@@ -390,12 +380,7 @@ def test_gap_flip_mask_allocates_about_one_byte_per_bit(draw):
     rng = np.random.default_rng(51)
     bits = np.zeros(shape, dtype=np.uint8)
     draw(bits, p_e, rng)
-    tracemalloc.start()
-    try:
-        draw(bits, p_e, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(draw, bits, p_e, rng)
     assert peak <= 1.1 * shape[0] * shape[1]
 
 
@@ -408,12 +393,7 @@ def test_sparse_flip_mask_is_xored_in_place_by_transmit():
     rng = np.random.default_rng(52)
     bits = np.zeros(shape, dtype=np.uint8)
     transmit(bits, p_e, rng)
-    tracemalloc.start()
-    try:
-        transmit(bits, p_e, rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(transmit, bits, p_e, rng)
     assert peak <= 1.1 * shape[0] * shape[1]
 
 

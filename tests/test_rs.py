@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thzlink.rs as rs_module
+from helpers import traced_peak
 from reference_codecs import RsCodeword, ScalarRsCodec, longdiv_parity, pack_symbols
 from thzlink.rs import PACK_SLICE, ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 
@@ -172,12 +172,7 @@ def test_packing_allocates_the_output_and_one_slice(s, shape):
     # 8 MB output; one PACK_SLICE-bit slice needs under 4 bytes per bit.
     bits = (np.random.default_rng(63).random(shape) < 0.5).astype(np.uint8)
     bits_to_symbols(bits, s)
-    tracemalloc.start()
-    try:
-        symbols = bits_to_symbols(bits, s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, symbols = traced_peak(bits_to_symbols, bits, s)
     assert peak <= symbols.nbytes + 4 * PACK_SLICE
 
 
@@ -461,10 +456,5 @@ def test_syndromes_of_a_dense_block_allocate_little():
     shape = (100, 4095)
     block = (rng.integers(1, 4096, shape) * (rng.random(shape) < 0.92)).astype(np.uint16)
     codec.syndromes_batch(block)
-    tracemalloc.start()
-    try:
-        codec.syndromes_batch(block)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(codec.syndromes_batch, block)
     assert peak <= 18 * block.size
