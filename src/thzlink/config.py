@@ -31,6 +31,12 @@ BER_ESTIMATORS = ("sampled", "exact")
 # such a run would never end.
 MAX_GENERATIONS = 1e10
 
+# Longest run, in simulated seconds: twice what MAX_GENERATIONS admits at the
+# default interval and generations. The trace is drawn whole before the first
+# interval, about 15 us and 0.24 KB per phase, so a longer duration with few
+# generations (a huge update_interval_s) could take hours or never finish.
+MAX_DURATION_S = 1e8
+
 
 class SpecError(ValueError):
     """Raised for malformed, unknown, or out-of-range spec entries."""
@@ -178,6 +184,8 @@ def _validate(spec: RunSpec) -> None:
     if spec.seed < 0:
         bad("seed", "must be >= 0")
     positive("duration_s", spec.duration_s)
+    if spec.duration_s > MAX_DURATION_S:
+        bad("duration_s", f"must be at most {MAX_DURATION_S:.0e} s, got {spec.duration_s:.3g}")
     positive("update_interval_s", spec.update_interval_s)
     if spec.buffer_size < 1:
         bad("buffer_size", "must be >= 1")

@@ -100,64 +100,54 @@ class MdpcCodec:
         cube state either way. Rows with no set bit finish at once: when the
         zero word is sent, only the rows with a flip are decoded. A row
         decodes the same in any slice; each slice writes its rows of the
-        outputs, which are allocated once.
+        outputs, which are allocated once, by their index in the block.
         """
         bits = np.asarray(bits, dtype=np.uint8)
-        m, n = self.m, self.n
-        width = (m + 1) ** n
+        m, n, cap = self.m, self.n, self.max_iterations
+        side = m + 1
+        width = side ** n
         if bits.ndim != 2 or bits.shape[1] != width:
             raise ValueError(f"MDPC({m},{n}) decodes (B, {width}) blocks, got shape {bits.shape}")
-        batch = bits.shape[0]
-        data = np.empty((batch, self.k_bits), dtype=np.uint8)
+        batch, k = bits.shape[0], self.k_bits
+        # The data cells, copied once: the output. Flips that land on them
+        # are XORed in below; `bits` itself is never written.
+        inside = (slice(None),) + (slice(0, m),) * n
+        data = np.empty((batch, k), dtype=np.uint8)
+        data.reshape((batch,) + (m,) * n)[...] = bits.reshape((batch,) + (side,) * n)[inside]
         iters = np.zeros(batch, dtype=np.int64)
         flips = np.zeros(batch, dtype=np.int64)
         ok = np.ones(batch, dtype=bool)
         step = max(1, DECODE_SLICE_BITS // width)
         for r0 in range(0, batch, step):
-            rows = slice(r0, r0 + step)
-            self._decode_slice(bits[rows], data[rows], iters[rows], flips[rows], ok[rows])
+            rows, cells = np.divmod(np.flatnonzero(bits[r0:r0 + step].view(bool)), width)
+            first = np.ones(rows.size, dtype=bool)
+            first[1:] = rows[1:] != rows[:-1]
+            idx = rows[first] + r0  # the rows still decoding; parities holds their lines
+            ok[idx] = False
+            parities = _line_parities(np.cumsum(first) - 1, cells, idx.size, side, n)
+            for round_no in range(cap + 1):
+                if idx.size == 0:
+                    break
+                per_axis = parities.reshape((n,) + (side,) * (n - 1) + (idx.size,))
+                marker = sum(np.expand_dims(p, axis) for axis, p in enumerate(per_axis))
+                marker = marker.reshape(width, idx.size)
+                fmax = marker.max(axis=0)
+                done = fmax < 2
+                ok[idx[done]] = fmax[done] == 0
+                if round_no == cap:
+                    break  # the live rows' ok stays False
+                fmax[done] = n + 1  # above any marker: finished rows flip nothing
+                hit_cells, hit_rows = np.divmod(np.flatnonzero(marker == fmax), idx.size)
+                del marker
+                toggles = _line_parities(hit_rows, hit_cells, idx.size, side, n)
+                moved = toggles.any(axis=(0, 1))
+                # A row whose flips toggle no parity repeats this round up to the cap.
+                steps = np.where(done, 0, np.where(moved, 1, cap - round_no))
+                flips[idx] += np.bincount(hit_rows, minlength=idx.size) * steps
+                iters[idx] += steps
+                odd = steps[hit_rows] % 2 == 1
+                cell = self._data_index[hit_cells[odd]]
+                on_data = cell >= 0
+                data.reshape(-1)[idx[hit_rows[odd][on_data]] * k + cell[on_data]] ^= 1
+                idx, parities = idx[moved], np.compress(moved, parities ^ toggles, axis=2)
         return data, iters, flips, ok
-
-    def _decode_slice(self, bits: np.ndarray, data: np.ndarray, iters: np.ndarray,
-                      flips: np.ndarray, ok: np.ndarray) -> None:
-        """Decode a slice of rows into its views of `decode_batch`'s outputs."""
-        m, n, cap = self.m, self.n, self.max_iterations
-        side = m + 1
-        width = side ** n
-        batch = bits.shape[0]
-        k = self.k_bits
-        # The data cells, copied once: the output. Flips that land on them
-        # are XORed in below; `bits` itself is never written.
-        inside = (slice(None),) + (slice(0, m),) * n
-        data.reshape((batch,) + (m,) * n)[...] = bits.reshape((batch,) + (side,) * n)[inside]
-        rows, cells = np.divmod(np.flatnonzero(bits.view(bool)), width)
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        idx = rows[first]  # the rows still decoding; parities holds their lines
-        ok[idx] = False
-        parities = _line_parities(np.cumsum(first) - 1, cells, idx.size, side, n)
-        for round_no in range(cap + 1):
-            if idx.size == 0:
-                break
-            per_axis = parities.reshape((n,) + (side,) * (n - 1) + (idx.size,))
-            marker = sum(np.expand_dims(p, axis) for axis, p in enumerate(per_axis))
-            marker = marker.reshape(width, idx.size)
-            fmax = marker.max(axis=0)
-            done = fmax < 2
-            ok[idx[done]] = fmax[done] == 0
-            if round_no == cap:
-                break  # the live rows' ok stays False
-            fmax[done] = n + 1  # above any marker: finished rows flip nothing
-            hit_cells, hit_rows = np.divmod(np.flatnonzero(marker == fmax), idx.size)
-            del marker
-            toggles = _line_parities(hit_rows, hit_cells, idx.size, side, n)
-            moved = toggles.any(axis=(0, 1))
-            # A row whose flips toggle no parity repeats this round up to the cap.
-            steps = np.where(done, 0, np.where(moved, 1, cap - round_no))
-            flips[idx] += np.bincount(hit_rows, minlength=idx.size) * steps
-            iters[idx] += steps
-            odd = steps[hit_rows] % 2 == 1
-            cell = self._data_index[hit_cells[odd]]
-            on_data = cell >= 0
-            data.reshape(-1)[idx[hit_rows[odd][on_data]] * k + cell[on_data]] ^= 1
-            idx, parities = idx[moved], np.compress(moved, parities ^ toggles, axis=2)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import RunSpec, SpecError
+from .config import MAX_DURATION_S, RunSpec, SpecError
 from .control import (AdaptiveController, BerMessage, LinkConfig, SCHEME_MDPC,
                       SCHEME_RS)
 from .mdpc import DEFAULT_MAX_ITERATIONS, MdpcCodec
@@ -83,8 +83,9 @@ class MobilityTrace:
 
 def generate_trace(seed: int, duration_s: float, grid) -> MobilityTrace:
     """Alternating dwell/walk trace over the distances in `grid`, 1 m/s walks."""
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ValueError(f"duration must be positive and finite, got {duration_s!r}")
+    if not 0 < duration_s <= MAX_DURATION_S:
+        raise ValueError(f"duration_s must be positive and finite, at most "
+                         f"{MAX_DURATION_S:.0e}, got {duration_s!r}")
     grid = np.asarray(grid, dtype=float)
     # A walk redraws its target until it differs from where it starts.
     if len(set(grid.tolist())) < 2:
@@ -265,11 +266,10 @@ class LinkSimulation:
                 f"invalid {keys}: one interval of {word.describe()} words "
                 f"asks for {bits:.3g} bits, more than {MAX_INTERVAL_BITS:.3g}")
         self._codecs: dict = {}
-        # Flipped rows of the open segment awaiting one decode, their mask
-        # bits, and the dwell counts and config they belong to.
+        # Flipped rows of the open dwell, all drawn under the active config,
+        # awaiting one decode, and their mask bits.
         self._staged: list[np.ndarray] = []
         self._staged_bits = 0
-        self._staged_for: tuple[Outcomes, LinkConfig] | None = None
         # One (time, active config label, controller action) tuple per
         # interval; cheap, and lets tests check actuation timing.
         self.interval_log: list[tuple[float, str, str]] = []
@@ -311,17 +311,16 @@ class LinkSimulation:
         outcomes.error_free += clean
         outcomes.data_bits += clean * config.k_bits
         if flip_mask.size:
-            self._staged_for = (outcomes, config)
             self._staged.append(flip_mask)
             self._staged_bits += flip_mask.size
         # The stage holds the only reference, so a flush can free the mask.
         del flip_mask
         if self._staged_bits >= STAGE_BITS:
-            self._flush()
+            self._flush(outcomes)
         return ber_m
 
-    def _flush(self) -> None:
-        """Decode the staged rows in one `_carry` call and add their outcomes.
+    def _flush(self, outcomes: Outcomes) -> None:
+        """Decode the staged rows in one `_carry` call; add their outcomes to `outcomes`.
 
         The masks are packed into the codec's units and dropped before the
         decode, so an RS block decodes beside its symbols, not its mask.
@@ -329,7 +328,7 @@ class LinkSimulation:
         """
         if not self._staged:
             return
-        outcomes, config = self._staged_for
+        config = self.active_config
         codec = self._codec_for(config)
         # concatenate would copy a lone block too.
         rows = self._staged[0] if len(self._staged) == 1 else np.concatenate(self._staged)
@@ -366,7 +365,8 @@ class LinkSimulation:
             for i in range(n_intervals):
                 now = i * dt
                 if pending is not None:
-                    self._flush()
+                    if dwell is not None:
+                        self._flush(dwell[1])
                     self.active_config, pending = pending, None
                     active_label = self.active_config.describe()
                     log(now, "set_demodulation", self.active_config.modulation.label)
@@ -376,7 +376,7 @@ class LinkSimulation:
                     phase_idx = new_idx
                     phase = self.trace.phases[phase_idx]
                     if dwell is not None:
-                        self._flush()
+                        self._flush(dwell[1])
                         records.append(_dwell_record(*dwell, self.active_config))
                         dwell = None
                     if phase.kind == "dwell":
@@ -397,7 +397,7 @@ class LinkSimulation:
                 else:
                     log(now, action.kind, f"ber_m={ber_m!r};d={distance:g}")
             if dwell is not None:
-                self._flush()
+                self._flush(dwell[1])
                 records.append(_dwell_record(*dwell, self.active_config))
             if metrics is not None:
                 write_metrics_csv(metrics, records)

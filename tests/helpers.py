@@ -1,7 +1,9 @@
 """Small helpers shared by the tests."""
 
+import contextlib
 import itertools
 import math
+import signal
 import tracemalloc
 
 from thzlink.modem import MODULATIONS, BerTable, symbol_error_prob
@@ -21,6 +23,22 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def within_seconds(seconds: int):
+    """Fail the block with TimeoutError unless it ends within `seconds`, so
+    a test of a call that used to hang fails instead of hanging (POSIX)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def distance_at(trace, now: float) -> float:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import table_between
+from helpers import table_between, within_seconds
 from thzlink import sim as sim_module
 from thzlink.cli import main
 from thzlink.modem import MODULATIONS, BerTable, Modulation
@@ -204,6 +205,19 @@ def test_run_rejects_unknown_spec_key(tmp_path, table_csv, capsys):
     assert "sped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration,interval", [("1e9", "1e8"), ("1e300", "1e300")])
+def test_run_rejects_unbounded_trace(tmp_path, table_csv, capsys, monkeypatch,
+                                     duration, interval):
+    # Ten generations from the environment, but a trace that took minutes
+    # to draw (1e9 s) or never ended (1e300 s).
+    monkeypatch.setenv("THZLINK_DURATION_S", duration)
+    monkeypatch.setenv("THZLINK_UPDATE_INTERVAL_S", interval)
+    monkeypatch.setenv("THZLINK_GENERATIONS_PER_INTERVAL", "1")
+    with within_seconds(1):
+        assert run_cli("run", "--table", table_csv, "--out", tmp_path) == 2
+    assert "invalid duration_s" in capsys.readouterr().err
+
+
 def test_env_override_reaches_the_run(tmp_path, table_csv, monkeypatch):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -304,3 +318,17 @@ def test_module_entry_point(tmp_path):
         assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "in" / name).read_bytes()
     done = module("run", "--table", table, "--duration", -5)
     assert done.returncode == 2 and done.stderr.startswith("error: invalid duration_s")
+
+
+def test_package_root_imports_no_submodule():
+    # The root holds only __version__; callers import each module by name,
+    # so the simulator loads no table generator.
+    probe = ("import json, sys, thzlink\n"
+             "root = sorted(m for m in sys.modules if m.startswith('thzlink.'))\n"
+             "import thzlink.sim\n"
+             "print(json.dumps([root, thzlink.__version__, 'thzlink.tablegen' in sys.modules]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], "0.1.0", False]

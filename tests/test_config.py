@@ -4,8 +4,9 @@ import pickle
 
 import pytest
 
-from thzlink.config import (ENV_PREFIX, RunSpec, SpecError, build_spec,
-                            emit_spec, env_overrides, load_spec,
+from helpers import within_seconds
+from thzlink.config import (ENV_PREFIX, MAX_DURATION_S, RunSpec, SpecError,
+                            build_spec, emit_spec, env_overrides, load_spec,
                             parse_pairs, parse_spec)
 from thzlink.control import DEFAULT_EPSILON
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, Modulation
@@ -118,6 +119,19 @@ def test_spec_built_in_code_is_validated():
         RunSpec(table_path="t.csv", update_interval_s=1e-300)
     for key in ("duration_s", "update_interval_s", "generations_per_interval"):
         assert key in str(err.value)
+
+
+@pytest.mark.parametrize("duration,interval", [(1e9, 1e8), (1e300, 1e300)])
+def test_unbounded_trace_names_duration(duration, interval):
+    # Built only, never run: ten generations, but the trace is drawn whole
+    # before the first interval, and 1e9 s of it is about 6.5e6 phases.
+    with within_seconds(1), pytest.raises(SpecError, match="invalid duration_s"):
+        RunSpec(table_path="t.csv", duration_s=duration, update_interval_s=interval,
+                generations_per_interval=1)
+    # The longest run MAX_GENERATIONS admits at the default interval and
+    # generations stays allowed, and so does the bound at a longer interval.
+    RunSpec(table_path="t.csv", duration_s=5e7)
+    RunSpec(table_path="t.csv", duration_s=MAX_DURATION_S, update_interval_s=1.0)
 
 
 def test_single_dimension_mdpc_budget_rejected_when_built():

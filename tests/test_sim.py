@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import distance_at, table_between, tail_sigma, traced_peak
+from helpers import distance_at, table_between, tail_sigma, traced_peak, within_seconds
 from thzlink import sim as sim_module
 from thzlink.config import RunSpec, SpecError
 from thzlink.control import (SCHEME_MDPC, SCHEME_RS, LinkConfig, OptimizerParams,
@@ -85,6 +85,13 @@ def test_trace_rejects_bad_duration(default_table):
     for duration in (0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             generate_trace(1, duration, default_table.distances)
+
+
+@pytest.mark.parametrize("duration", [1e9, 1e300])
+def test_trace_rejects_duration_beyond_bound(default_table, duration):
+    # 1e9 s drew phases for minutes, and 1e300 s never ended.
+    with within_seconds(1), pytest.raises(ValueError, match="duration_s"):
+        generate_trace(1, duration, default_table.distances)
 
 
 @pytest.mark.parametrize("grid", [[20.0], [20.0, 20.0], []])
@@ -343,7 +350,7 @@ def test_staged_rows_stay_within_stage_bits(default_table, table_csv):
         outcomes = Outcomes()
         for _ in range(intervals):
             sim._transmit_interval(5.0, outcomes)
-        sim._flush()
+        sim._flush(outcomes)
 
     stage(1)
     for intervals in (20, 200):
@@ -424,7 +431,7 @@ def test_sampled_estimator_reports_measured_ber(default_table, table_csv):
     sim = LinkSimulation(spec, default_table, trace=stationary_trace(19.0, 10.0))
     stats = Outcomes()
     ber_m = sim._transmit_interval(19.0, stats)
-    sim._flush()
+    sim._flush(stats)
     p_e = default_table.lookup(19.0, Modulation.QAM16)
     n_bits = spec.generations_per_interval * 240
     sigma = (p_e * (1 - p_e) / n_bits) ** 0.5
