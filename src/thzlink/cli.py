@@ -51,7 +51,10 @@ def _cmd_gen_table(args) -> int:
                        anchor_distance_m=args.anchor_distance,
                        anchor_ber=args.anchor_ber)
     table = generate_table(model)
-    table.to_csv(args.out)
+    try:
+        table.to_csv(args.out)
+    except OSError as exc:
+        raise SpecError(f"invalid --out: cannot write {args.out}: {exc.strerror}") from None
     anchor = table.lookup(model.anchor_distance_m, MODULATIONS[0])
     rows = len(table.distances) * len(MODULATIONS)
     print(f"wrote {args.out}: {rows} rows "
@@ -78,7 +81,10 @@ def _cmd_run(args) -> int:
         print(f"error: cannot read spec file: {exc}", file=sys.stderr)
         return 2
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise SpecError(f"invalid --out: cannot create {args.out}: {exc.strerror}") from None
     try:
         table = BerTable.from_csv(spec.table_path)
     except OSError as exc:
@@ -93,7 +99,10 @@ def _cmd_run(args) -> int:
 def _cmd_optimize(args) -> int:
     params = OptimizerParams(**{f.name: getattr(args, f.name)
                                 for f in fields(OptimizerParams)})
-    table = BerTable.from_csv(args.table)
+    try:
+        table = BerTable.from_csv(args.table)
+    except OSError as exc:
+        raise SpecError(f"cannot read --table: {exc}") from None
     candidates, chosen = optimize_for_distance(table, args.distance,
                                                DEFAULT_DATA_RATES_GBPS, params)
     print(f"distance {args.distance:g} m")

@@ -220,7 +220,11 @@ def load_spec(path=None, extra_pairs: dict | None = None, environ=None) -> RunSp
     pairs = {}
     if path is not None:
         with open(path) as fh:
-            pairs = parse_pairs(fh.read(), source=str(path))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise SpecError(f"{path}: {exc}") from None
+        pairs = parse_pairs(text, source=str(path))
     pairs.update(env_overrides(environ))
     if extra_pairs:
         pairs.update(extra_pairs)

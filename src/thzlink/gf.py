@@ -20,9 +20,6 @@ PRIMITIVE_POLYS = {
     12: 0b1000001010011,
 }
 
-# `GF.dot_logs` takes at most this many block elements at a time.
-DOT_SLICE = 1 << 16
-
 
 class GF:
     """GF(2^s): addition is XOR, multiplication via log/antilog tables.
@@ -80,26 +77,23 @@ class GF:
     def dot_logs(self, a: np.ndarray, log_mat: np.ndarray) -> np.ndarray:
         """Product a @ M.T of a (B, n) element block and M given as (m, n) logs.
 
-        Returns (B, m) elements, uint16. Only nonzero elements are multiplied,
-        in slices of whole rows of at most `DOT_SLICE` elements (or one row).
+        Returns (B, m) elements, uint16. Only nonzero elements are multiplied.
         """
         batch, n = a.shape
         out = np.zeros((batch, log_mat.shape[0]), dtype=self.exp.dtype)
-        step = max(1, DOT_SLICE // n)
-        for r0 in range(0, batch, step):
-            part = a[r0:r0 + step].ravel()
-            # A bool mask and intp indices take numpy's fast paths.
-            flat = np.flatnonzero(part != 0)
-            if flat.size == 0:
-                continue
-            rows = flat // n
-            cols = flat - rows * n
-            logs = self.log[part[flat].astype(np.intp)]
-            # Each row's run of nonzeros starts where its row index changes.
-            starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-            hit = rows[starts] + r0
-            for j, row in enumerate(log_mat):
-                out[:, j][hit] = np.bitwise_xor.reduceat(self.exp[logs + row[cols]], starts)
+        flat_a = a.ravel()
+        # A bool mask and intp indices take numpy's fast paths.
+        flat = np.flatnonzero(flat_a != 0)
+        if flat.size == 0:
+            return out
+        rows = flat // n
+        cols = flat - rows * n
+        logs = self.log[flat_a[flat].astype(np.intp)]
+        # Each row's run of nonzeros starts where its row index changes.
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        hit = rows[starts]
+        for j, row in enumerate(log_mat):
+            out[:, j][hit] = np.bitwise_xor.reduceat(self.exp[logs + row[cols]], starts)
         return out
 
     def inv_matrix(self, mat: np.ndarray) -> np.ndarray:

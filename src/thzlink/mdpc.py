@@ -13,12 +13,6 @@ import numpy as np
 
 DEFAULT_MAX_ITERATIONS = 10
 
-# `decode_batch` decodes at most this many received bits at a time (or one
-# row). A slice's workspace takes 12-29 B per bit at p_e 0.05-0.5, so it
-# stays within about 60 MB whatever the block; codec-sweep's (2000, 961)
-# MDPC(30,2) batches still decode as one slice.
-DECODE_SLICE_BITS = 2 ** 21
-
 
 def _line_parities(rows: np.ndarray, cells: np.ndarray, n_rows: int,
                    side: int, n: int) -> np.ndarray:
@@ -37,6 +31,12 @@ def _line_parities(rows: np.ndarray, cells: np.ndarray, n_rows: int,
 
 class MdpcCodec:
     """Fixed-geometry wrapper with batched encode/decode for the simulator."""
+
+    # Most received bits the data plane hands `decode_units` at once (or one
+    # row). The decoder's workspace takes 12-29 B per bit at p_e 0.05-0.5,
+    # so a slice stays within about 60 MB; codec-sweep's (2000, 961)
+    # MDPC(30,2) batches still decode as one slice.
+    slice_bits = 2 ** 21
 
     def __init__(self, m: int, n: int, max_iterations: int = DEFAULT_MAX_ITERATIONS):
         if m < 2 or n < 2:
@@ -88,7 +88,7 @@ class MdpcCodec:
         return p_e
 
     def decode_batch(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Decode (B, (m+1)^n) received bits, `DECODE_SLICE_BITS` at a time.
+        """Decode (B, (m+1)^n) received bits.
 
         Returns (data bits (B, m^n), iterations, flipped counts, ok flags).
         Each round a cell's marker is the sum of the carried parities of its
@@ -98,9 +98,7 @@ class MdpcCodec:
         cells every round, so it ends at once with the result of the cap. A
         row is ok only when every line checks out; its data is the final
         cube state either way. Rows with no set bit finish at once: when the
-        zero word is sent, only the rows with a flip are decoded. A row
-        decodes the same in any slice; each slice writes its rows of the
-        outputs, which are allocated once, by their index in the block.
+        zero word is sent, only the rows with a flip are decoded.
         """
         bits = np.asarray(bits, dtype=np.uint8)
         m, n, cap = self.m, self.n, self.max_iterations
@@ -117,37 +115,35 @@ class MdpcCodec:
         iters = np.zeros(batch, dtype=np.int64)
         flips = np.zeros(batch, dtype=np.int64)
         ok = np.ones(batch, dtype=bool)
-        step = max(1, DECODE_SLICE_BITS // width)
-        for r0 in range(0, batch, step):
-            rows, cells = np.divmod(np.flatnonzero(bits[r0:r0 + step].view(bool)), width)
-            first = np.ones(rows.size, dtype=bool)
-            first[1:] = rows[1:] != rows[:-1]
-            idx = rows[first] + r0  # the rows still decoding; parities holds their lines
-            ok[idx] = False
-            parities = _line_parities(np.cumsum(first) - 1, cells, idx.size, side, n)
-            for round_no in range(cap + 1):
-                if idx.size == 0:
-                    break
-                per_axis = parities.reshape((n,) + (side,) * (n - 1) + (idx.size,))
-                marker = sum(np.expand_dims(p, axis) for axis, p in enumerate(per_axis))
-                marker = marker.reshape(width, idx.size)
-                fmax = marker.max(axis=0)
-                done = fmax < 2
-                ok[idx[done]] = fmax[done] == 0
-                if round_no == cap:
-                    break  # the live rows' ok stays False
-                fmax[done] = n + 1  # above any marker: finished rows flip nothing
-                hit_cells, hit_rows = np.divmod(np.flatnonzero(marker == fmax), idx.size)
-                del marker
-                toggles = _line_parities(hit_rows, hit_cells, idx.size, side, n)
-                moved = toggles.any(axis=(0, 1))
-                # A row whose flips toggle no parity repeats this round up to the cap.
-                steps = np.where(done, 0, np.where(moved, 1, cap - round_no))
-                flips[idx] += np.bincount(hit_rows, minlength=idx.size) * steps
-                iters[idx] += steps
-                odd = steps[hit_rows] % 2 == 1
-                cell = self._data_index[hit_cells[odd]]
-                on_data = cell >= 0
-                data.reshape(-1)[idx[hit_rows[odd][on_data]] * k + cell[on_data]] ^= 1
-                idx, parities = idx[moved], np.compress(moved, parities ^ toggles, axis=2)
+        rows, cells = np.divmod(np.flatnonzero(bits.view(bool)), width)
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        idx = rows[first]  # the rows still decoding; parities holds their lines
+        ok[idx] = False
+        parities = _line_parities(np.cumsum(first) - 1, cells, idx.size, side, n)
+        for round_no in range(cap + 1):
+            if idx.size == 0:
+                break
+            per_axis = parities.reshape((n,) + (side,) * (n - 1) + (idx.size,))
+            marker = sum(np.expand_dims(p, axis) for axis, p in enumerate(per_axis))
+            marker = marker.reshape(width, idx.size)
+            fmax = marker.max(axis=0)
+            done = fmax < 2
+            ok[idx[done]] = fmax[done] == 0
+            if round_no == cap:
+                break  # the live rows' ok stays False
+            fmax[done] = n + 1  # above any marker: finished rows flip nothing
+            hit_cells, hit_rows = np.divmod(np.flatnonzero(marker == fmax), idx.size)
+            del marker
+            toggles = _line_parities(hit_rows, hit_cells, idx.size, side, n)
+            moved = toggles.any(axis=(0, 1))
+            # A row whose flips toggle no parity repeats this round up to the cap.
+            steps = np.where(done, 0, np.where(moved, 1, cap - round_no))
+            flips[idx] += np.bincount(hit_rows, minlength=idx.size) * steps
+            iters[idx] += steps
+            odd = steps[hit_rows] % 2 == 1
+            cell = self._data_index[hit_cells[odd]]
+            on_data = cell >= 0
+            data.reshape(-1)[idx[hit_rows[odd][on_data]] * k + cell[on_data]] ^= 1
+            idx, parities = idx[moved], np.compress(moved, parities ^ toggles, axis=2)
         return data, iters, flips, ok

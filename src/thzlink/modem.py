@@ -101,27 +101,29 @@ class BerTable:
     @classmethod
     def from_csv(cls, path) -> "BerTable":
         rows: dict[Modulation, dict[float, float]] = {mod: {} for mod in MODULATIONS}
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != CSV_HEADER:
-                raise ValueError(f"unexpected BER table header {header!r}")
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                # Decoded here, so a byte that is not UTF-8 names its file
+                # and line as every other bad row does.
+                line = line.decode().strip()
+                if line_no == 1 and line != CSV_HEADER:
+                    raise ValueError(f"unexpected BER table header {line!r}")
+                if line_no == 1 or not line:
                     continue
                 parts = line.split(",")
-                try:
-                    if len(parts) != 3:
-                        raise ValueError("expected 3 columns")
-                    d, mod, ber = float(parts[0]), Modulation.from_label(parts[1]), float(parts[2])
-                    for name, value in (("distance", d), ("BER", ber)):
-                        if not math.isfinite(value):
-                            raise ValueError(f"{name} {value} must be finite")
-                    if d in rows[mod]:
-                        raise ValueError(f"duplicate row for {d:g} m, {mod.label}")
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
-                rows[mod][d] = ber
+                if len(parts) != 3:
+                    raise ValueError("expected 3 columns")
+                d, mod, ber = float(parts[0]), Modulation.from_label(parts[1]), float(parts[2])
+                for name, value in (("distance", d), ("BER", ber)):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} {value} must be finite")
+                if d in rows[mod]:
+                    raise ValueError(f"duplicate row for {d:g} m, {mod.label}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            rows[mod][d] = ber
         distances = sorted(rows[MODULATIONS[0]])
         try:
             for mod in MODULATIONS:

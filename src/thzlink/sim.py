@@ -12,10 +12,12 @@ segment; every interval additionally appends a row to the event log.
 No output reports a walk, so a walk interval draws the channel and stops.
 In a dwell interval the generations without a flipped bit are counted clean
 at once, and the flipped ones are staged. Each (dwell, config) segment's
-staged rows are packed, their masks dropped, and decoded together when the
-segment ends, or sooner, once `STAGE_BITS` of them wait. A row decodes the
-same in any batch and the outcome counts are sums, so no output depends on
-the staging. Both codes are linear and both decoders see a word only
+staged rows are decoded when the segment ends, or sooner, once `STAGE_BITS`
+of them wait. A block enters the data plane, here and in the residual-error
+experiment, in slices of whole rows of at most the codec's `slice_bits`
+bits (or one row); no kernel slices again. A row decodes the same in any
+batch and the outcome counts are sums, so no output depends on the staging
+or the slicing. Both codes are linear and both decoders see a word only
 through their syndromes or parities, so every generation, here and in the
 residual-error experiment, sends the all-zero codeword: a generation
 without flips arrives clean, and a decoded word's data units are its wrong
@@ -207,7 +209,7 @@ def _carry(codec, k: int, received: np.ndarray) -> Outcomes:
     `codec.units` of the rows' flip masks; it is written in place. Every
     row is decoded: a row with no flipped bit decodes clean, and a decoded
     row's data units are its wrong data. The simulator packs only flipped
-    rows, and drops their masks before the call.
+    rows.
     """
     batch = received.shape[0]
     # The zero word's encode and this XOR change nothing. One word is
@@ -320,11 +322,11 @@ class LinkSimulation:
         return ber_m
 
     def _flush(self, outcomes: Outcomes) -> None:
-        """Decode the staged rows in one `_carry` call; add their outcomes to `outcomes`.
+        """Decode the staged rows; add their outcomes to `outcomes`.
 
-        The masks are packed into the codec's units and dropped before the
-        decode, so an RS block decodes beside its symbols, not its mask.
-        MDPC's units are the mask itself.
+        The rows enter the data plane in slices of whole rows, at most
+        `codec.slice_bits` bits each (or one row): each slice is packed
+        into the codec's units and carried on its own.
         """
         if not self._staged:
             return
@@ -334,9 +336,9 @@ class LinkSimulation:
         rows = self._staged[0] if len(self._staged) == 1 else np.concatenate(self._staged)
         self._staged.clear()
         self._staged_bits = 0
-        received = codec.units(rows)
-        del rows
-        outcomes.add(_carry(codec, config.k_bits, received))
+        step = max(1, codec.slice_bits // rows.shape[1])
+        for r0 in range(0, rows.shape[0], step):
+            outcomes.add(_carry(codec, config.k_bits, codec.units(rows[r0:r0 + step])))
 
     def run(self, metrics_path=None, events_path=None) -> list:
         spec = self.spec
@@ -490,23 +492,27 @@ def residual_error_experiment(config: LinkConfig, p_e: float, generations: int,
     within_failures = 0
     exceed = 0
     failures = 0
+    step = max(1, codec.slice_bits // n_bits)
     for done in range(0, generations, batch_size):
         batch = min(batch_size, generations - done)
         # transmit's XOR with a broadcast zero writes into the flip mask if p_e > 0.
-        received = codec.units(transmit(np.broadcast_to(np.uint8(0), (batch, n_bits)),
-                                        p_e, rng_channel))
-        decoded, _, _ = codec.decode_units(received)
-        # Exact counts through an int32 accumulator: a row of 2^31 units
-        # would take 2 GB on its own.
-        injected = np.einsum("ij->i", received != 0, dtype=np.int32)
-        # An OR in the units' own dtype: `any` casts every unit to bool first.
-        wrong = np.bitwise_or.reduce(decoded, axis=1) != 0
-        within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
-        exceed += int(np.count_nonzero(injected > t_budget))
-        failures += int(np.count_nonzero(wrong))
+        flips = transmit(np.broadcast_to(np.uint8(0), (batch, n_bits)), p_e, rng_channel)
+        # The rows enter the decoder in slices of whole rows, at most
+        # `codec.slice_bits` bits each (or one row).
+        for r0 in range(0, batch, step):
+            received = codec.units(flips[r0:r0 + step])
+            decoded, _, _ = codec.decode_units(received)
+            # Exact counts through an int32 accumulator: a row of 2^31 units
+            # would take 2 GB on its own.
+            injected = np.einsum("ij->i", received != 0, dtype=np.int32)
+            # An OR in the units' own dtype: `any` casts every unit to bool first.
+            wrong = np.bitwise_or.reduce(decoded, axis=1) != 0
+            within_failures += int(np.count_nonzero(wrong & (injected <= t_budget)))
+            exceed += int(np.count_nonzero(injected > t_budget))
+            failures += int(np.count_nonzero(wrong))
         width = received.shape[1]
         # The next batch's flip mask is drawn without this batch's blocks.
-        del received, decoded
+        del flips, received, decoded
 
     return ResidualStats(
         generations=generations,

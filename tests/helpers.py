@@ -6,13 +6,28 @@ import math
 import signal
 import tracemalloc
 
-from thzlink.modem import MODULATIONS, BerTable, symbol_error_prob
+from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig
+from thzlink.mdpc import MdpcCodec
+from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
+                           symbol_error_prob)
 
 
 def tail_sigma(stats) -> float:
     """Binomial standard error of a `ResidualStats`' theoretical exceed rate."""
     p = stats.theoretical_tail
     return math.sqrt(p * (1.0 - p) / stats.generations)
+
+
+def rs_config(s: int, r: int, length: int) -> LinkConfig:
+    """BPSK RS words of `length` s-bit symbols, r of them parity."""
+    return LinkConfig(SCHEME_RS, Modulation.BPSK, s * (length - r), s * r,
+                      DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], s=s)
+
+
+def mdpc_config(m: int, n: int) -> LinkConfig:
+    """BPSK MDPC(m, n) words."""
+    return LinkConfig(SCHEME_MDPC, Modulation.BPSK, m ** n, MdpcCodec(m, n).r_bits,
+                      DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], m=m, n=n)
 
 
 def traced_peak(fn, *args, **kwargs):

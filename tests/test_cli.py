@@ -198,6 +198,46 @@ def test_run_rejects_unwritable_output_before_simulating(tmp_path, table_csv,
     assert drawn == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (("run", "--table", "{table}", "--out", "{file}"),
+     "invalid --out: cannot create {file}: File exists"),
+    (("run", "--table", "{table}", "--out", "{file}/sub"),
+     "invalid --out: cannot create {file}/sub: Not a directory"),
+    (("gen-table", "--out", "{tmp}/nodir/t.csv"),
+     "invalid --out: cannot write {tmp}/nodir/t.csv: No such file or directory"),
+    (("gen-table", "--out", "{tmp}"), "invalid --out: cannot write {tmp}: Is a directory"),
+    (("optimize", "--table", "{tmp}/missing.csv", "--distance", "5"),
+     "cannot read --table: [Errno 2] No such file or directory: '{tmp}/missing.csv'"),
+], ids=["run-out-file", "run-out-under-file", "gen-table-out-missing-dir",
+        "gen-table-out-dir", "optimize-table-missing"])
+def test_bad_paths_name_the_option(tmp_path, table_csv, capsys, monkeypatch, args,
+                                   message):
+    # Each used to end in a traceback and exit 1; a run draws no flip first.
+    drawn = []
+    monkeypatch.setattr(sim_module, "sample_flip_mask",
+                        lambda *args: drawn.append(args))
+    names = {"table": table_csv, "file": tmp_path / "file", "tmp": tmp_path}
+    names["file"].write_text("")
+    assert run_cli(*(arg.format(**names) for arg in args)) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+    assert drawn == []
+
+
+def test_undecodable_bytes_name_the_file(tmp_path, capsys):
+    # A byte that is not UTF-8 used to reach the user as a bare "error:
+    # 'utf-8' codec can't decode byte 0xff in position 34", naming no file.
+    table = tmp_path / "bad.csv"
+    table.write_bytes(b"distance_m,modulation,ber\n1.0,QPSK,0.0\n1.0,BPSK,\xff\n")
+    spec = tmp_path / "bad.cfg"
+    spec.write_bytes(b"seed = 1\nduration_s = \xff\n")
+    for args, where in ((("run", "--table", table), f"{table}:3"),
+                        (("optimize", "--table", table, "--distance", 1), f"{table}:3"),
+                        (("run", "--spec", spec), f"{spec}")):
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {where}: 'utf-8' codec can't decode byte 0xff in position ")
+
+
 def test_run_rejects_unknown_spec_key(tmp_path, table_csv, capsys):
     spec_file = tmp_path / "run.cfg"
     spec_file.write_text(f"table_path = {table_csv}\nsped = 3\n")

@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-import thzlink.mdpc as mdpc_module
-from helpers import traced_peak
+from helpers import mdpc_config, traced_peak
 from reference_codecs import MdpcBlock, mdpc_decode, mdpc_encode
 from thzlink.mdpc import MdpcCodec
 from thzlink.rs import ReedSolomonCodec
+from thzlink.sim import residual_error_experiment
 
 
 def all_lines_even(cells: np.ndarray) -> bool:
@@ -209,48 +209,50 @@ def test_decode_leaves_its_input_unchanged(rng):
     assert ok.any() and not ok.all() and (flips > 0).any() and (iters == 4).any()
 
 
-def test_decode_allocates_under_3_5_bytes_per_bit(rng):
-    # The codec-sweep geometry at its own p_e, on the all-zero word: one
-    # copy of the data cells, and per round a one-byte marker and its mask
-    # over the rows still live; the cube itself is never reduced again.
-    codec = MdpcCodec(30, 2)
+def test_decode_allocates_under_3_5_bytes_per_bit(rng, flush):
+    # The codec-sweep geometry at its own p_e, on the all-zero word, through
+    # the simulator's entry (one slice): one copy of the data cells, and per
+    # round a one-byte marker and its mask over the rows still live; the
+    # cube itself is never reduced again.
     rx = (rng.random((2000, 961)) < 1 / 961).astype(np.uint8)
-    codec.decode_batch(rx)
-    peak, _ = traced_peak(codec.decode_batch, rx)
+    config = mdpc_config(30, 2)
+    flush(config, rx.copy())
+    peak, _ = traced_peak(flush, config, rx)
     assert peak <= 3.5 * rx.size
 
 
 def test_sliced_decode_matches_one_slice(monkeypatch):
-    # A row decodes the same in any slice: a budget of a few rows, or of
-    # one bit (one row a slice), gives the one-slice outcome of every row,
-    # in the same dtypes, on rows from clean to half flipped.
+    # A row decodes the same in any slice: at the residual-error
+    # experiment's entry, a budget of a few rows, or of one bit (one row a
+    # slice), gives the one-slice statistics, on channels from clean to
+    # half flipped and under any iteration cap.
     rng = np.random.default_rng(93)
     for _ in range(200):
         n = int(rng.integers(2, 4))
         m = int(rng.integers(2, {2: 13, 3: 6}[n]))
-        codec = MdpcCodec(m, n, max_iterations=int(rng.integers(1, 9)))
-        rx = (rng.random((int(rng.integers(1, 40)), (m + 1) ** n))
-              < 0.5 * rng.random() ** 2).astype(np.uint8)
-        rx[rng.random(rx.shape[0]) < 0.2] = 0
-        monkeypatch.setattr(mdpc_module, "DECODE_SLICE_BITS", rx.size)
-        whole = codec.decode_batch(rx)
-        monkeypatch.setattr(mdpc_module, "DECODE_SLICE_BITS", int(rng.integers(1, rx.size + 1)))
-        sliced = codec.decode_batch(rx)
-        assert [a.dtype for a in sliced] == [np.uint8, np.int64, np.int64, bool]
-        for a, b in zip(whole, sliced):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        generations = int(rng.integers(1, 40))
+        case = (mdpc_config(m, n), 0.5 * rng.random() ** 2, generations,
+                int(rng.integers(0, 2 ** 32)), int(rng.integers(1, generations + 1)),
+                int(rng.integers(1, 9)))
+        block_bits = generations * (m + 1) ** n
+        monkeypatch.setattr(MdpcCodec, "slice_bits", block_bits)
+        whole = residual_error_experiment(*case)
+        monkeypatch.setattr(MdpcCodec, "slice_bits", int(rng.integers(1, block_bits + 1)))
+        assert residual_error_experiment(*case) == whole
 
 
-def test_dense_block_decodes_in_a_bounded_workspace(monkeypatch):
-    # Past the budget, a block decodes a slice at a time into outputs
-    # allocated once: the data bits and three per-row outcomes beside one
-    # slice's workspace (16 B per bit measured at p_e 0.2). Decoded whole,
+def test_dense_block_decodes_in_a_bounded_workspace(monkeypatch, flush):
+    # Past the budget, the simulator's entry decodes a block a slice at a
+    # time, so beside the mask only one slice's data bits, outcomes and
+    # workspace live (16 B per bit measured at p_e 0.2). Decoded whole,
     # this block peaked at 14.4 B per bit of the block.
     budget = 2 ** 18
-    monkeypatch.setattr(mdpc_module, "DECODE_SLICE_BITS", budget)
+    monkeypatch.setattr(MdpcCodec, "slice_bits", budget)
     codec = MdpcCodec(30, 2)
     rx = (np.random.default_rng(94).random((2000, 961)) < 0.2).astype(np.uint8)
     assert rx.size > 7 * budget
-    codec.decode_batch(rx)
-    peak, (data, *_) = traced_peak(codec.decode_batch, rx)
-    assert peak <= data.nbytes + 17 * rx.shape[0] + 20 * budget
+    config = mdpc_config(30, 2)
+    flush(config, rx.copy())
+    peak, _ = traced_peak(flush, config, rx)
+    data_nbytes = rx.shape[0] * codec.k_bits
+    assert peak <= data_nbytes + 17 * rx.shape[0] + 20 * budget

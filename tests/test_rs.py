@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import thzlink.rs as rs_module
-from helpers import traced_peak
+from helpers import rs_config, traced_peak
 from reference_codecs import RsCodeword, ScalarRsCodec, longdiv_parity, pack_symbols
-from thzlink.rs import PACK_SLICE, ReedSolomonCodec, bits_to_symbols, symbols_to_bits
+from thzlink.rs import ReedSolomonCodec, bits_to_symbols, symbols_to_bits
 
 VECTORS = Path(__file__).parent / "vectors" / "rs_vectors.txt"
 
@@ -151,13 +150,10 @@ def bit_blocks(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(block=bit_blocks(), pack_slice=st.integers(1, 2048))
-def test_bits_to_symbols_matches_the_shift_loop(block, pack_slice):
-    # A small slice size splits the block into many slices, most of which
-    # end inside a group of eight symbols.
+@given(block=bit_blocks())
+def test_bits_to_symbols_matches_the_shift_loop(block):
     bits, s = block
-    with mock.patch.object(rs_module, "PACK_SLICE", pack_slice):
-        symbols = bits_to_symbols(bits, s)
+    symbols = bits_to_symbols(bits, s)
     assert symbols.dtype == np.uint16
     assert symbols.shape == bits.shape[:-1] + (bits.shape[-1] // s,)
     assert np.array_equal(symbols, pack_symbols(bits, s))
@@ -165,15 +161,18 @@ def test_bits_to_symbols_matches_the_shift_loop(block, pack_slice):
 
 
 @pytest.mark.parametrize("s,shape", [(3, (576_000, 21)), (12, (250, 49140))])
-def test_packing_allocates_the_output_and_one_slice(s, shape):
+def test_packing_allocates_the_output_and_one_slice(s, shape, flush):
     # About 12 Mbit each, in short RS(21,3) rows and long RS(49116,12) rows.
-    # The 32-bit windows of a slice, gathered and shifted, take 8/s bytes
+    # The 32-bit windows of a block, gathered and shifted, take 8/s bytes
     # per bit, so packed whole, the s = 3 block would need 32 MB beside its
-    # 8 MB output; one PACK_SLICE-bit slice needs under 4 bytes per bit.
+    # 8 MB of symbols. The simulator's entry packs and decodes one
+    # `slice_bits`-bit slice at a time, within the block's symbols and 4
+    # bytes per bit of one slice (7.6 and 1.9 MB measured).
     bits = (np.random.default_rng(63).random(shape) < 0.5).astype(np.uint8)
-    bits_to_symbols(bits, s)
-    peak, symbols = traced_peak(bits_to_symbols, bits, s)
-    assert peak <= symbols.nbytes + 4 * PACK_SLICE
+    config = rs_config(s, 2, shape[1] // s)
+    flush(config, bits.copy())
+    peak, _ = traced_peak(flush, config, bits)
+    assert peak <= 2 * bits.size // s + 4 * ReedSolomonCodec.slice_bits
 
 
 # -- decoding ---------------------------------------------------------------
@@ -444,17 +443,19 @@ def test_decode_rejects_wrong_length():
         codec.decode_symbols_batch(np.zeros((1, 2), dtype=np.int64))  # parity only
 
 
-def test_syndromes_of_a_dense_block_allocate_little():
-    # The product takes the block DOT_SLICE elements at a time, so a block
-    # of RS(49116,12) words whose symbols are almost all nonzero needs no
-    # int64 log field of its own size. The bound is what the dense product
-    # (`reference_codecs.dot_logs`) allocates, 18 B per element: int64 logs,
-    # their int64 sums and the uint16 products. Through syndromes_batch it
-    # peaked at 7,372,152 B on this block; the sliced product at 2,899,536 B.
-    codec = ReedSolomonCodec(12, 2)
+def test_syndromes_of_a_dense_block_allocate_little(flush):
+    # The simulator's entry takes the block `slice_bits` bits at a time, so
+    # a block of RS(49116,12) words whose symbols are almost all nonzero
+    # needs no int64 log field of its own size. The bound is what the dense
+    # product (`reference_codecs.dot_logs`) allocates, 18 B per element:
+    # int64 logs, their int64 sums and the uint16 products. Through
+    # syndromes_batch it peaked at 7,372,152 B on this block; through the
+    # entry, packing and decoding included, at 1,751,306 B.
     rng = np.random.default_rng(62)
     shape = (100, 4095)
     block = (rng.integers(1, 4096, shape) * (rng.random(shape) < 0.92)).astype(np.uint16)
-    codec.syndromes_batch(block)
-    peak, _ = traced_peak(codec.syndromes_batch, block)
+    mask = symbols_to_bits(block, 12)
+    config = rs_config(12, 2, shape[1])
+    flush(config, mask.copy())
+    peak, _ = traced_peak(flush, config, mask)
     assert peak <= 18 * block.size

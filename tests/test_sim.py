@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import distance_at, table_between, tail_sigma, traced_peak, within_seconds
+from helpers import (distance_at, mdpc_config, rs_config, table_between, tail_sigma,
+                     traced_peak, within_seconds)
 from thzlink import sim as sim_module
 from thzlink.config import RunSpec, SpecError
 from thzlink.control import (SCHEME_MDPC, SCHEME_RS, LinkConfig, OptimizerParams,
@@ -362,10 +363,11 @@ def test_stale_long_word_interval_holds_one_block_at_a_time(default_table, table
                                                              t_rs, far):
     # The controller picks RS(49116,12) (t_rs = 1) or RS(49092,12) (t_rs = 2)
     # at 1 m, and the word keeps running for a few intervals at the far end
-    # of the walk, where most of its bits flip. Such an interval frees its
-    # flip mask once it is packed, before the decode: 1.28 and 1.37 B per bit
-    # of one interval measured, where the mask held through the decode read
-    # 1.68 and 1.96 (t_rs = 1 at 10 and 20 m) and 2.37 (t_rs = 2).
+    # of the walk, where most of its bits flip. Such an interval's mask
+    # stays while it is packed and decoded a `slice_bits`-bit slice at a
+    # time: 1.26, 1.38 and 1.29 B per bit of one interval measured (t_rs = 1
+    # at 10 and 20 m, t_rs = 2), where the mask held through a decode of the
+    # whole block read 1.68, 1.96 and 2.37.
     walk = far - 1.0
     trace = MobilityTrace((TracePhase("dwell", 0.0, 10.0, 1.0, 1.0),
                            TracePhase("walk", 10.0, 10.0 + walk, 1.0, far),
@@ -608,9 +610,9 @@ def test_deliver_allocates_few_bytes_per_channel_bit():
 
 def test_residual_experiment_allocates_few_bytes_per_channel_bit():
     # One batch of the longest RS words on a dense channel: the flip mask
-    # and the packed symbols, with no zero block (transmit XORs a broadcast
-    # zero into the mask, 2.08 B/bit with a zero block), payload, encode or
-    # unpacked copy of the sent words.
+    # and one slice's packed symbols and decode, with no zero block
+    # (transmit XORs a broadcast zero into the mask, 2.08 B/bit with a zero
+    # block), payload, encode or unpacked copy of the sent words.
     batch, n_bits = 100, 12 * 4095
     config = LinkConfig(SCHEME_RS, Modulation.BPSK, n_bits - 24, 24,
                         DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], s=12)
@@ -622,10 +624,10 @@ def test_residual_experiment_allocates_few_bytes_per_channel_bit():
     experiment(batch)
     peak, _ = traced_peak(experiment, batch)
     assert peak <= 1.95 * batch * n_bits
-    # In three batches, each batch's packed and decoded symbols are freed
-    # before the next flip mask is drawn, so the peak stays one batch's
-    # mask and symbols (1.28 B/bit measured; 1.61 while the last batch's
-    # blocks lived on).
+    # In three batches, each batch's mask and last slice are freed before
+    # the next flip mask is drawn, so the peak stays one batch's mask and
+    # one slice (1.39 B/bit measured; 1.61 while the last batch's whole
+    # packed and decoded blocks lived on).
     peak, _ = traced_peak(experiment, 3 * batch)
     assert peak <= 1.4 * batch * n_bits
 
@@ -696,6 +698,46 @@ def test_residual_experiment_counts_every_unit_of_a_long_word():
     stats = residual_error_experiment(config, 1.0, generations=3, seed=1, batch_size=2)
     assert stats.exceed_injected == stats.data_failures == stats.generations == 3
     assert stats.within_budget_failures == 0
+
+
+def test_entries_slice_without_changing_outcomes(default_table, table_csv, monkeypatch):
+    # Both entries cut a block into slices of at most `slice_bits` bits (or
+    # one row): one row a slice, three rows and a shorter remainder, or the
+    # whole block give the same outcomes.
+    def at_every_slice(run, row_bits):
+        results = []
+        for slice_bits in (1, 3 * row_bits + 1, 2 ** 40):
+            for codec_class in (ReedSolomonCodec, MdpcCodec):
+                monkeypatch.setattr(codec_class, "slice_bits", slice_bits)
+            results.append(run())
+        assert results[0] == results[1] == results[2]
+        return results[0]
+
+    # Errors near each code's budget, in batches of 20, 20 and 10 words.
+    for config, p_e in ((rs_config(8, 2, 255), 1 / 2040), (rs_config(8, 4, 255), 2 / 2040),
+                        (mdpc_config(10, 3), 3 / 1331)):
+        stats = at_every_slice(
+            lambda: residual_error_experiment(config, p_e, generations=50, seed=8,
+                                              batch_size=20),
+            config.k_bits + config.r_bits)
+        assert 0 < stats.exceed_injected < stats.generations
+    # Two stale RS(49116,12) intervals at 10 m, where every word is flipped
+    # and miscorrects or fails; each flushes its 100 rows at once.
+    spec = spec_for(table_csv, duration_s=10.0)
+    assert default_table.lookup(10.0, Modulation.QAM16) > 0.01
+
+    def stale_intervals():
+        sim = LinkSimulation(spec, default_table, trace=stationary_trace(10.0, 10.0))
+        sim.active_config = sim.controller.plan[1.0]
+        assert sim.active_config.describe() == "RS(49116,12)/16QAM"
+        outcomes = Outcomes()
+        for _ in range(2):
+            sim._transmit_interval(10.0, outcomes)
+        assert not sim._staged
+        return outcomes
+
+    outcomes = at_every_slice(stale_intervals, 49140)
+    assert outcomes.sent == 200 and outcomes.error_free == 0 and outcomes.wrong_bits > 0
 
 
 @pytest.mark.parametrize("p_e", [float("nan"), -0.01, 1.5])
