@@ -78,8 +78,7 @@ def _cmd_run(args) -> int:
     try:
         spec = load_spec(args.spec or None, pairs)
     except OSError as exc:
-        print(f"error: cannot read spec file: {exc}", file=sys.stderr)
-        return 2
+        raise SpecError(f"cannot read spec file: {exc}") from None
     if args.out is not None:
         try:
             os.makedirs(args.out, exist_ok=True)
@@ -88,8 +87,7 @@ def _cmd_run(args) -> int:
     try:
         table = BerTable.from_csv(spec.table_path)
     except OSError as exc:
-        print(f"error: cannot read table_path: {exc}", file=sys.stderr)
-        return 2
+        raise SpecError(f"cannot read table_path: {exc}") from None
     records = run_simulation(spec, table)
     print(f"wrote {spec.metrics_path} ({len(records)} dwell records) "
           f"and {spec.events_path}")

@@ -230,14 +230,3 @@ def load_spec(path=None, extra_pairs: dict | None = None, environ=None) -> RunSp
         pairs.update(extra_pairs)
     return build_spec(pairs)
 
-
-def emit_spec(spec: RunSpec) -> str:
-    """Serialize a RunSpec back into the flat key-value format."""
-    lines = []
-    for key in _KEY_TYPES:
-        name, _, label = key.partition(".")
-        value = getattr(spec, name)
-        if label:
-            value = value[Modulation.from_label(label)]
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

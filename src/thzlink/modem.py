@@ -50,19 +50,22 @@ class BerTable:
     """
 
     def __init__(self, distances, values: dict):
-        self.distances = np.asarray(distances, dtype=float)
-        if self.distances.ndim != 1 or len(self.distances) == 0:
+        distances = np.asarray(distances, dtype=float)
+        if distances.ndim != 1 or len(distances) == 0:
             raise ValueError("distances must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(self.distances)):
+        if not np.all(np.isfinite(distances)):
             raise ValueError("distances must be finite")
-        if np.any(np.diff(self.distances) <= 0):
+        if np.any(np.diff(distances) <= 0):
             raise ValueError("distances must be strictly ascending")
-        self._values = {}
+        # The table is held once, as the Python lists `lookup` bisects:
+        # numpy's per-call costs dominate a search of a few dozen points.
+        self._grid = distances.tolist()
+        self._columns = {}
         for mod in MODULATIONS:
             if mod not in values:
                 raise ValueError(f"missing BER column for {mod.label}")
             col = np.asarray(values[mod], dtype=float)
-            if col.shape != self.distances.shape:
+            if col.shape != distances.shape:
                 raise ValueError(f"BER column for {mod.label} has wrong length")
             if not np.all(np.isfinite(col)):
                 raise ValueError(f"BER values for {mod.label} must be finite")
@@ -70,14 +73,16 @@ class BerTable:
                 raise ValueError(f"BER values for {mod.label} outside [0, 0.5]")
             if np.any(np.diff(col) < 0):
                 raise ValueError(f"BER for {mod.label} must be non-decreasing in distance")
-            self._values[mod] = col
-        # `lookup` bisects Python lists: numpy's per-call costs dominate a
-        # search of a few dozen points.
-        self._grid = self.distances.tolist()
-        self._columns = {mod: col.tolist() for mod, col in self._values.items()}
+            self._columns[mod] = col.tolist()
+
+    @property
+    def distances(self) -> np.ndarray:
+        """The grid distances, ascending, as a fresh array."""
+        return np.array(self._grid)
 
     def column(self, mod: Modulation) -> np.ndarray:
-        return self._values[mod]
+        """p_e at each grid distance, as a fresh array."""
+        return np.array(self._columns[mod])
 
     def lookup(self, distance: float, mod: Modulation) -> float:
         """p_e at the grid distance nearest to the requested one."""
@@ -94,9 +99,9 @@ class BerTable:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
-            for i, d in enumerate(self.distances):
+            for i, d in enumerate(self._grid):
                 for mod in MODULATIONS:
-                    fh.write(f"{d:g},{mod.label},{float(self._values[mod][i])!r}\n")
+                    fh.write(f"{d:g},{mod.label},{self._columns[mod][i]!r}\n")
 
     @classmethod
     def from_csv(cls, path) -> "BerTable":

@@ -23,9 +23,13 @@ residual-error experiment, sends the all-zero codeword: a generation
 without flips arrives clean, and a decoded word's data units are its wrong
 data.
 Each codec packs its own units and decodes them (`units`, `decode_units`).
+One codec per geometry is built per process and shared by every run and
+experiment, as `gf.get_field` shares its fields; codecs are never written
+after they are built.
 """
 
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -166,12 +170,8 @@ class Outcomes:
     data_bits: int = 0
 
     def add(self, other: "Outcomes") -> None:
-        self.sent += other.sent
-        self.error_free += other.error_free
-        self.corrected += other.corrected
-        self.failed += other.failed
-        self.wrong_bits += other.wrong_bits
-        self.data_bits += other.data_bits
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _dwell_record(phase: TracePhase, outcomes: Outcomes,
@@ -195,29 +195,31 @@ def _dwell_record(phase: TracePhase, outcomes: Outcomes,
     )
 
 
+# Keyed by (s, r_symbols) and by (m, n, max_iterations).
+_rs_codec = functools.cache(ReedSolomonCodec)
+_mdpc_codec = functools.cache(MdpcCodec)
+
+
 def _build_codec(config: LinkConfig, mdpc_max_iterations: int):
-    """The codec that carries `config`'s generations."""
+    """The process's codec that carries `config`'s generations."""
     if config.scheme == SCHEME_RS:
-        return ReedSolomonCodec(config.s, config.r_bits // config.s)
-    return MdpcCodec(config.m, config.n, max_iterations=mdpc_max_iterations)
+        return _rs_codec(config.s, config.r_bits // config.s)
+    return _mdpc_codec(config.m, config.n, mdpc_max_iterations)
 
 
 def _carry(codec, k: int, received: np.ndarray) -> Outcomes:
     """Outcomes of a (B, L) block of k-data-bit generations' received units.
 
     Every generation sends the all-zero codeword, so `received` is
-    `codec.units` of the rows' flip masks; it is written in place. Every
-    row is decoded: a row with no flipped bit decodes clean, and a decoded
-    row's data units are its wrong data. The simulator packs only flipped
-    rows.
+    `codec.units` of the rows' flip masks. Every row is decoded: a row with
+    no flipped bit decodes clean, and a decoded row's data units are its
+    wrong data. The simulator packs only flipped rows.
     """
     batch = received.shape[0]
-    # The zero word's encode and this XOR change nothing. One word is
-    # encoded per call and broadcast over the rows, only while the
-    # benchmark's traced self-check `rs.encode_rows > 0` needs an encode;
-    # once it no longer does, both lines go.
-    np.bitwise_xor(received, codec.encode_batch(np.zeros((1, k), np.uint8)),
-                   out=received)
+    # The zero word encodes to zero and changes nothing. It is encoded once
+    # per call only while the benchmark's traced self-check
+    # `rs.encode_rows > 0` needs an encode; once it no longer does, it goes.
+    codec.encode_batch(np.zeros((1, k), np.uint8))
     decoded, ok, changed = codec.decode_units(received)
     return Outcomes(sent=batch, error_free=int(np.count_nonzero(ok & ~changed)),
                     corrected=int(np.count_nonzero(ok & changed)),
@@ -267,7 +269,6 @@ class LinkSimulation:
             raise SpecError(
                 f"invalid {keys}: one interval of {word.describe()} words "
                 f"asks for {bits:.3g} bits, more than {MAX_INTERVAL_BITS:.3g}")
-        self._codecs: dict = {}
         # Flipped rows of the open dwell, all drawn under the active config,
         # awaiting one decode, and their mask bits.
         self._staged: list[np.ndarray] = []
@@ -275,15 +276,6 @@ class LinkSimulation:
         # One (time, active config label, controller action) tuple per
         # interval; cheap, and lets tests check actuation timing.
         self.interval_log: list[tuple[float, str, str]] = []
-
-    def _codec_for(self, config: LinkConfig):
-        # One codec serves every length of its (s, r), or its (m, n).
-        key = (config.scheme, config.s, config.r_bits, config.m, config.n)
-        codec = self._codecs.get(key)
-        if codec is None:
-            codec = _build_codec(config, self.spec.mdpc_max_iterations)
-            self._codecs[key] = codec
-        return codec
 
     def _transmit_interval(self, distance_m: float,
                            outcomes: Outcomes | None = None) -> float:
@@ -331,7 +323,7 @@ class LinkSimulation:
         if not self._staged:
             return
         config = self.active_config
-        codec = self._codec_for(config)
+        codec = _build_codec(config, self.spec.mdpc_max_iterations)
         # concatenate would copy a lone block too.
         rows = self._staged[0] if len(self._staged) == 1 else np.concatenate(self._staged)
         self._staged.clear()

@@ -5,8 +5,11 @@ import itertools
 import math
 import signal
 import tracemalloc
+from collections.abc import Mapping
+from dataclasses import fields
 
-from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig
+from thzlink.config import RunSpec
+from thzlink.control import SCHEME_MDPC, SCHEME_RS, LinkConfig, map_key
 from thzlink.mdpc import MdpcCodec
 from thzlink.modem import (DEFAULT_DATA_RATES_GBPS, MODULATIONS, BerTable, Modulation,
                            symbol_error_prob)
@@ -28,6 +31,19 @@ def mdpc_config(m: int, n: int) -> LinkConfig:
     """BPSK MDPC(m, n) words."""
     return LinkConfig(SCHEME_MDPC, Modulation.BPSK, m ** n, MdpcCodec(m, n).r_bits,
                       DEFAULT_DATA_RATES_GBPS[Modulation.BPSK], m=m, n=n)
+
+
+def emit_spec(spec: RunSpec) -> str:
+    """`spec` in the flat key-value format, one line per key in field order;
+    a per-modulation map gives one ``map_key`` line per modulation."""
+    lines = []
+    for f in fields(RunSpec):
+        value = getattr(spec, f.name)
+        if isinstance(value, Mapping):
+            lines += (f"{map_key(f.name, mod)} = {value[mod]}" for mod in MODULATIONS)
+        else:
+            lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import table_between, within_seconds
+from helpers import emit_spec, table_between, within_seconds
 from thzlink import sim as sim_module
 from thzlink.cli import main
+from thzlink.config import RunSpec, parse_pairs
 from thzlink.modem import MODULATIONS, BerTable, Modulation
 from thzlink.tablegen import TableModel, generate_table
 
@@ -85,6 +86,14 @@ def test_run_without_table_fails_loudly(capsys, tmp_path, monkeypatch):
 def metrics_distances(out_dir) -> list:
     with open(out_dir / "metrics.csv") as fh:
         return [float(row["distance_m"]) for row in csv.DictReader(fh)]
+
+
+def assert_outcomes_add_up(metrics_path) -> None:
+    """Every metrics row sent as many generations as its outcomes count."""
+    with open(metrics_path) as fh:
+        for row in csv.DictReader(fh):
+            assert int(row["generations_sent"]) == sum(
+                int(row[f"generations_{k}"]) for k in ("error_free", "corrected", "failed"))
 
 
 def test_run_walks_the_tables_own_grid(tmp_path, table_csv, capsys):
@@ -157,13 +166,36 @@ def test_run_on_any_cut_of_the_table(default_table, fine_table, data):
             assert code == 2 and "invalid table_path" in err.getvalue()
             return
         assert code == 0, err.getvalue()
-        grid = set(BerTable.from_csv(path).distances.tolist())
-        with open(out / "metrics.csv") as fh:
-            for row in csv.DictReader(fh):
-                assert float(row["distance_m"]) in grid
-                assert int(row["generations_sent"]) == sum(
-                    int(row[f"generations_{k}"])
-                    for k in ("error_free", "corrected", "failed"))
+        assert set(metrics_distances(out)) <= set(BerTable.from_csv(path).distances.tolist())
+        assert_outcomes_add_up(out / "metrics.csv")
+
+
+SPEC_KEYS = list(parse_pairs(emit_spec(RunSpec(table_path="t.csv"))))
+EDGE_VALUES = ("0", "-1", "5e-324", "1e300", "nan", "inf", str(10 ** 30), "")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(pairs=st.dictionaries(st.sampled_from(SPEC_KEYS), st.sampled_from(EDGE_VALUES),
+                             min_size=1, max_size=2))
+def test_any_spec_runs_or_is_refused_naming_a_key(table_csv, pairs):
+    # A short run's spec with one or two keys set to an edge value: the run
+    # completes with consistent counts in every row, or exits 2 with an
+    # error line that names one of the keys.
+    spec = {"table_path": str(table_csv), "duration_s": "2",
+            "metrics_path": "metrics.csv", "events_path": "events.log", **pairs}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        Path("run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in spec.items()))
+        err = io.StringIO()
+        with (within_seconds(2), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = run_cli("run", "--spec", "run.cfg")
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert any(key in err.getvalue() for key in pairs), err.getvalue()
+            return
+        assert code == 0, err.getvalue()
+        assert_outcomes_add_up(spec["metrics_path"])
 
 
 def test_run_with_spec_file(tmp_path, table_csv):

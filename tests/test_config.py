@@ -4,10 +4,10 @@ import pickle
 
 import pytest
 
-from helpers import within_seconds
+from helpers import emit_spec, within_seconds
 from thzlink.config import (ENV_PREFIX, MAX_DURATION_S, RunSpec, SpecError,
-                            build_spec, emit_spec, env_overrides, load_spec,
-                            parse_pairs, parse_spec)
+                            build_spec, env_overrides, load_spec, parse_pairs,
+                            parse_spec)
 from thzlink.control import DEFAULT_EPSILON
 from thzlink.modem import DEFAULT_DATA_RATES_GBPS, Modulation
 

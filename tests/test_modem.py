@@ -149,6 +149,21 @@ def test_table_csv_roundtrip(tmp_path, default_table):
     assert header == "distance_m,modulation,ber"
 
 
+def test_arrays_a_table_hands_out_do_not_write_into_it(tmp_path, default_table):
+    # `column` used to hand out the array `to_csv` wrote from, while `lookup`
+    # read a list copy, so a caller's write split the two.
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    default_table.to_csv(before)
+    lookups = [default_table.lookup(d, mod) for d in (1.0, 5.0, 20.0) for mod in MODULATIONS]
+    for mod in MODULATIONS:
+        default_table.column(mod)[:] = 0.5
+    default_table.distances[:] = 0.0
+    default_table.to_csv(after)
+    assert [default_table.lookup(d, mod) for d in (1.0, 5.0, 20.0)
+            for mod in MODULATIONS] == lookups
+    assert after.read_bytes() == before.read_bytes()
+
+
 @pytest.mark.parametrize("row,message", [
     ("1.0,BPSK", "expected 3 columns"),
     ("abc,BPSK,0.0", "could not convert string to float: 'abc'"),

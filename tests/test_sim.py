@@ -157,7 +157,9 @@ def test_table_must_span_the_trace(default_table):
 
 
 def test_one_codec_per_rs_geometry(default_table, monkeypatch):
-    # RS(15,3) at 9 m and RS(9,3) at 10 m share s = 3 and r = 2 symbols.
+    # RS(15,3) at 9 m and RS(9,3) at 10 m share s = 3 and r = 2 symbols, and
+    # so do a second run and a residual-error experiment in the process.
+    sim_module._rs_codec.cache_clear()
     built = []
     init = ReedSolomonCodec.__init__
 
@@ -168,11 +170,13 @@ def test_one_codec_per_rs_geometry(default_table, monkeypatch):
     monkeypatch.setattr(ReedSolomonCodec, "__init__", spy)
     trace = MobilityTrace((TracePhase("dwell", 0.0, 10.0, 9.0, 9.0),
                            TracePhase("dwell", 10.0, 20.0, 10.0, 10.0)))
-    sim = LinkSimulation(RunSpec(table_path="unused", duration_s=20.0),
-                         default_table, trace)
-    sim.run()
-    active = {label for _, label, _ in sim.interval_log}
-    assert {"RS(15,3)/16QAM", "RS(9,3)/16QAM"} <= active
+    for _ in range(2):
+        sim = LinkSimulation(RunSpec(table_path="unused", duration_s=20.0),
+                             default_table, trace)
+        sim.run()
+        active = {label for _, label, _ in sim.interval_log}
+        assert {"RS(15,3)/16QAM", "RS(9,3)/16QAM"} <= active
+    residual_error_experiment(rs_config(3, 2, 7), 0.01, generations=10, seed=1)
     assert built.count((3, 2)) == 1
 
 
